@@ -4,10 +4,7 @@ and a Monte-Carlo benchmark harness."""
 from .linalg import (
     DegenerateColumnError,
     IncrementalFactorization,
-    correlate,
-    factor_append,
     factor_init,
-    solve_coefficients,
 )
 from .pursuit import (
     ALGORITHMS,

@@ -258,6 +258,8 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
             raise ValueError(f"need n > m > k >= 1, got {n}, {m}, {k}")
     if trials_per_k < 1:
         raise ValueError("trials_per_k must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     slots = [(n, m, k, t, global_seed, configs, exact_tol,
               normalize_columns, flat_amplitudes)

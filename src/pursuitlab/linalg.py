@@ -1,4 +1,4 @@
-"""Dense column-selection linear algebra: correlations and incremental QR."""
+"""Dense column-selection linear algebra: incremental QR of a growing column subset."""
 
 import math
 
@@ -9,10 +9,7 @@ __all__ = [
     "IncrementalFactorization",
     "as_matrix",
     "as_vector",
-    "correlate",
     "factor_init",
-    "factor_append",
-    "solve_coefficients",
 ]
 
 # Orthogonalized columns shorter than this fraction of their original norm
@@ -40,13 +37,6 @@ def as_vector(y):
     if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
-
-
-def correlate(a, r):
-    """Magnitudes of the column/residual inner products, |a.T @ r|."""
-    if a.shape[0] != r.shape[0]:
-        raise ValueError(f"row mismatch: matrix has {a.shape[0]} rows, vector has {r.shape[0]}")
-    return np.abs(a.T @ r)
 
 
 class IncrementalFactorization:
@@ -168,11 +158,3 @@ def factor_init(a, y, capacity=None):
         raise ValueError("capacity must be at least 1")
     return IncrementalFactorization(a.shape[0], capacity, y)
 
-
-def factor_append(f, a, j):
-    """Append column j of a to factorization f in place and return f."""
-    return f.append(a, j)
-
-
-def solve_coefficients(f):
-    return f.coefficients()

@@ -136,33 +136,25 @@ def path_cost(residual_norm, path_len, model, prev_residual_norm=None):
 class SupportTrie:
     """Order-insensitive registry of visited support sets.
 
-    Nodes are nested dicts keyed by column index, walked in sorted order;
-    the -1 key marks a stored set. Membership costs O(|support| log) and
-    never touches the factorizations, so duplicates are detected before
-    any projection is spent on them.
+    Each set is stored once as a sorted tuple in a hash set, so membership
+    costs one sort and one lookup and never touches the factorizations:
+    duplicates are detected before any projection is spent on them.
     """
 
-    __slots__ = ("_root",)
+    __slots__ = ("_seen",)
 
     def __init__(self):
-        self._root = {}
+        self._seen = set()
 
     def __contains__(self, support):
-        node = self._root
-        for j in sorted(support):
-            node = node.get(j)
-            if node is None:
-                return False
-        return -1 in node
+        return tuple(sorted(support)) in self._seen
 
     def check_insert(self, support):
         """Insert a support set; True if it was new, False if already present."""
-        node = self._root
-        for j in sorted(support):
-            node = node.setdefault(j, {})
-        if -1 in node:
+        key = tuple(sorted(support))
+        if key in self._seen:
             return False
-        node[-1] = True
+        self._seen.add(key)
         return True
 
 
@@ -229,7 +221,7 @@ def _setup(a, y, rule):
     # Paths can never usefully outgrow the rank bound min(rows, cols).
     max_len = min(rule.max_len(), a.shape[0], a.shape[1])
     eps = rule.epsilon_rel * math.sqrt(float(y @ y))
-    return a, y, max_len, eps, max_len
+    return a, y, max_len, eps
 
 
 def _zero_result(n, trace):
@@ -256,6 +248,65 @@ def _support_key(fact):
     return tuple(sorted(fact.index_set))
 
 
+# Child-step outcome for a support already in the registry.
+_DUP = object()
+
+
+class _Expansion:
+    """The child step shared by the three tree searches.
+
+    Holds the search's support registry, its explored-node count and, when
+    tracing, the log of projected supports. Every projection of a new
+    support goes through child(); the searches differ only in which
+    candidates they ask for and how they schedule the children.
+    """
+
+    __slots__ = ("a", "trie", "explored", "projected")
+
+    def __init__(self, a, trace):
+        self.a = a
+        self.trie = SupportTrie()
+        self.explored = 0
+        self.projected = [] if trace else None
+
+    def child(self, fact, col):
+        """Child of fact by column col; _DUP for a seen support, None for a degenerate col.
+
+        A registered support was projected before, so col is independent of
+        the span and holds a branch rank; a degenerate column holds none.
+        """
+        key = tuple(sorted(fact.index_set | {col}))
+        if key in self.trie:
+            return _DUP
+        try:
+            child = fact.copy().append(self.a, col)
+        except DegenerateColumnError:
+            return None
+        self.trie.check_insert(key)
+        self.explored += 1
+        if self.projected is not None:
+            self.projected.append(key)
+        return child
+
+    def children(self, fact, width):
+        """New children among the width best-ranked usable columns of fact.
+
+        A duplicate takes one of the width slots without a projection.
+        """
+        out = []
+        slots = 0
+        for j in _ranked(self.a, fact):
+            if slots == width:
+                break
+            child = self.child(fact, int(j))
+            if child is None:
+                continue
+            slots += 1
+            if child is not _DUP:
+                out.append(child)
+        return out
+
+
 def run_omp(a, y, termination, trace=False):
     """Greedy pursuit: repeatedly append the best-correlated usable column.
 
@@ -269,11 +320,11 @@ def run_omp(a, y, termination, trace=False):
     trace : bool
         Attach projected/completed support logs to the result.
     """
-    a, y, max_len, eps, capacity = _setup(a, y, termination)
+    a, y, max_len, eps = _setup(a, y, termination)
     n = a.shape[1]
     if not np.any(y):
         return _zero_result(n, trace)
-    fact = factor_init(a, y, capacity=capacity)
+    fact = factor_init(a, y, capacity=max_len)
     projected = []
     iterations = 0
     while True:
@@ -312,88 +363,60 @@ def run_mmp_bf(a, y, config, trace=False):
     """
     if config.algorithm != "mmp-bf":
         raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'mmp-bf'")
-    rule = config.termination
-    a, y, max_len, eps, capacity = _setup(a, y, rule)
+    a, y, max_len, eps = _setup(a, y, config.termination)
     n = a.shape[1]
     if not np.any(y):
         return _zero_result(n, trace)
 
     beam_cap = min(config.beam_width, config.max_paths)
-    branch = config.branch_factor
-    trie = SupportTrie()
-    beam = [factor_init(a, y, capacity=capacity)]
-    projected = []
-    explored = 0
+    expand = _Expansion(a, trace)
+    beam = [factor_init(a, y, capacity=max_len)]
     iterations = 0
     opened = 1
     children = []
 
     for _level in range(max_len):
-        children = []
-        met = []
-        for path in beam:
-            made = 0
-            for j in _ranked(a, path):
-                if made == branch:
-                    break
-                col = int(j)
-                key = tuple(sorted(path.index_set | {col}))
-                if key in trie:
-                    made += 1  # merged duplicate child, costs nothing
-                    continue
-                try:
-                    child = path.copy().append(a, col)
-                except DegenerateColumnError:
-                    continue
-                trie.check_insert(key)
-                explored += 1
-                made += 1
-                if trace:
-                    projected.append(key)
-                children.append(child)
-                if child.residual_norm < eps:
-                    met.append(child)
+        children = [child for path in beam
+                    for child in expand.children(path, config.branch_factor)]
         if not children:
             break
         iterations += 1
+        met = [f for f in children if f.residual_norm < eps]
         if met:
             best = min(met, key=lambda f: (f.residual_norm, _support_key(f)))
-            completed = met
-            tr = {"projected": projected,
-                  "completed": [_support_key(f) for f in completed]} if trace else None
-            return _finish(n, best, iterations, explored, opened, RESIDUAL_MET, tr)
+            tr = {"projected": expand.projected,
+                  "completed": [_support_key(f) for f in met]} if trace else None
+            return _finish(n, best, iterations, expand.explored, opened, RESIDUAL_MET, tr)
         children.sort(key=lambda f: (f.residual_norm, _support_key(f)))
         beam = children[:beam_cap]
         opened = max(opened, len(beam))
 
-    if explored == 0:
+    if expand.explored == 0:
         raise DegenerateDictionaryError("every dictionary column is degenerate")
     # Either the final level completed (children hold full-length paths) or
     # the search got stuck early and the surviving beam is all there is.
     completed = children if children else beam
     terminated = SPARSITY_MET if children else PATH_BUDGET_EXHAUSTED
     best = min(completed, key=lambda f: (f.residual_norm, _support_key(f)))
-    tr = {"projected": projected,
+    tr = {"projected": expand.projected,
           "completed": [_support_key(f) for f in completed]} if trace else None
-    return _finish(n, best, iterations, explored, opened, terminated, tr)
+    return _finish(n, best, iterations, expand.explored, opened, terminated, tr)
 
 
-# Sentinels for _descend outcomes.
-_DUP = object()
+# Outcome of _descend when the branch rank does not exist.
 _INVALID = object()
 
 
 class _DfNode:
     """Cached per-node state for the depth-first tree walk."""
 
-    __slots__ = ("ranked", "valid", "next", "skip", "owned")
+    __slots__ = ("ranked", "valid", "next", "skip")
 
     def __init__(self, ranked):
         self.ranked = ranked   # unselected columns by correlation rank
         self.valid = []        # validated non-degenerate candidates, rank order
         self.next = 0          # next ranked entry to validate
         self.skip = set()      # branch ranks whose subtree is a duplicate
-        self.owned = set()     # branch ranks already projected once
 
 
 def run_mmp_df(a, y, config, trace=False):
@@ -408,19 +431,17 @@ def run_mmp_df(a, y, config, trace=False):
     """
     if config.algorithm != "mmp-df":
         raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'mmp-df'")
-    rule = config.termination
-    a, y, max_len, eps, capacity = _setup(a, y, rule)
+    a, y, max_len, eps = _setup(a, y, config.termination)
     n = a.shape[1]
     if not np.any(y):
         return _zero_result(n, trace)
 
     branch = config.branch_factor
     budget = config.max_paths
-    trie = SupportTrie()
+    expand = _Expansion(a, trace)
     tree = {}
-    root = factor_init(a, y, capacity=capacity)
-    state = {"paths": 0, "explored": 0, "best": None, "found": False,
-             "projected": [], "completed": []}
+    root = factor_init(a, y, capacity=max_len)
+    state = {"paths": 0, "best": None, "found": False, "completed": []}
 
     def descend(node, c, fact):
         # Resolve branch rank c at this node; returns the child factorization,
@@ -430,25 +451,13 @@ def run_mmp_df(a, y, config, trace=False):
                 return _INVALID
             col = int(node.ranked[node.next])
             node.next += 1
-            key = tuple(sorted(fact.index_set | {col}))
-            if key in trie:
-                # Present in the trie means projected before, hence this
-                # column is independent of the span: it holds this rank.
-                node.valid.append(col)
-                node.skip.add(len(node.valid) - 1)
-                continue
-            try:
-                child = fact.copy().append(a, col)
-            except DegenerateColumnError:
+            child = expand.child(fact, col)
+            if child is None:
                 continue  # not a candidate at all; ranks shift past it
-            trie.check_insert(key)
             node.valid.append(col)
-            rank = len(node.valid) - 1
-            node.owned.add(rank)
-            state["explored"] += 1
-            if trace:
-                state["projected"].append(key)
-            if rank == c:
+            if child is _DUP:
+                node.skip.add(len(node.valid) - 1)
+            elif len(node.valid) - 1 == c:
                 return child
         if c in node.skip:
             return _DUP
@@ -509,9 +518,9 @@ def run_mmp_df(a, y, config, trace=False):
         # which the stuck/degenerate handling above already covers.
         raise DegenerateDictionaryError("no candidate path could be completed")
     terminated = RESIDUAL_MET if state["found"] else PATH_BUDGET_EXHAUSTED
-    tr = ({"projected": state["projected"], "completed": state["completed"]}
+    tr = ({"projected": expand.projected, "completed": state["completed"]}
           if trace else None)
-    return _finish(n, best, state["explored"], state["explored"],
+    return _finish(n, best, expand.explored, expand.explored,
                    state["paths"], terminated, tr)
 
 
@@ -529,7 +538,7 @@ def run_aomp(a, y, config, trace=False):
     if config.algorithm != "aomp":
         raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'aomp'")
     rule = config.termination
-    a, y, max_len, eps, capacity = _setup(a, y, rule)
+    a, y, max_len, eps = _setup(a, y, rule)
     n = a.shape[1]
     if not np.any(y):
         return _zero_result(n, trace)
@@ -537,50 +546,38 @@ def run_aomp(a, y, config, trace=False):
     model = config.cost_model
     if model.target_length is None:
         model = replace(model, target_length=max_len)
-    init, branch, cap = config.init_paths, config.expand_branches, config.max_paths
+    cap = config.max_paths
 
-    trie = SupportTrie()
-    root = factor_init(a, y, capacity=capacity)
+    expand = _Expansion(a, trace)
     open_list = []   # (cost, support key, factorization), ascending
-    projected = []
     completed_keys = []
     best_any = None
-    explored = 0
     iterations = 0
+    opened = 0
 
-    def record(child):
-        # Track the best support seen anywhere, even if it is later pruned
-        # from the open set. Ties go to the longer path so that collapsing
-        # the search to a single lineage returns the full greedy support.
-        nonlocal best_any
-        if (best_any is None
-                or child.residual_norm < best_any.residual_norm
-                or (child.residual_norm == best_any.residual_norm
-                    and child.k > best_any.k)):
-            best_any = child
-        if trace and (child.residual_norm < eps or child.k == max_len):
-            completed_keys.append(_support_key(child))
+    def push(parent, width):
+        # Open the new children of parent, pruning the open set to the cap.
+        # best_any tracks the best support seen anywhere, even if it is later
+        # pruned. Ties go to the longer path so that collapsing the search to
+        # a single lineage returns the full greedy support.
+        nonlocal best_any, opened
+        for child in expand.children(parent, width):
+            if (best_any is None
+                    or child.residual_norm < best_any.residual_norm
+                    or (child.residual_norm == best_any.residual_norm
+                        and child.k > best_any.k)):
+                best_any = child
+            if trace and (child.residual_norm < eps or child.k == max_len):
+                completed_keys.append(_support_key(child))
+            cost = path_cost(child.residual_norm, child.k, model, parent.residual_norm)
+            insort(open_list, (cost, _support_key(child), child))
+            if len(open_list) > cap:
+                open_list.pop()
+        opened = max(opened, len(open_list))
 
-    made = 0
-    for j in _ranked(a, root):
-        if made == init:
-            break
-        col = int(j)
-        try:
-            child = root.copy().append(a, col)
-        except DegenerateColumnError:
-            continue
-        trie.check_insert((col,))
-        explored += 1
-        made += 1
-        if trace:
-            projected.append((col,))
-        record(child)
-        insort(open_list, (path_cost(child.residual_norm, child.k, model,
-                                     root.residual_norm), (col,), child))
-    if made == 0:
+    push(factor_init(a, y, capacity=max_len), config.init_paths)
+    if not open_list:
         raise DegenerateDictionaryError("every dictionary column is degenerate")
-    opened = len(open_list)
 
     while open_list:
         _cost, _key, fact = open_list.pop(0)
@@ -589,39 +586,16 @@ def run_aomp(a, y, config, trace=False):
             if best_any.residual_norm < fact.residual_norm:
                 fact = best_any
             terminated = RESIDUAL_MET if fact.residual_norm < eps else trigger
-            tr = ({"projected": projected, "completed": completed_keys}
+            tr = ({"projected": expand.projected, "completed": completed_keys}
                   if trace else None)
-            return _finish(n, fact, iterations, explored, opened, terminated, tr)
+            return _finish(n, fact, iterations, expand.explored, opened, terminated, tr)
         if fact.k == max_len:
             continue  # residual rule: capped path that missed, a dead end
         iterations += 1
-        made = 0
-        for j in _ranked(a, fact):
-            if made == branch:
-                break
-            col = int(j)
-            key = tuple(sorted(fact.index_set | {col}))
-            if key in trie:
-                made += 1  # duplicate child: merged for free, slot consumed
-                continue
-            try:
-                child = fact.copy().append(a, col)
-            except DegenerateColumnError:
-                continue
-            trie.check_insert(key)
-            explored += 1
-            made += 1
-            if trace:
-                projected.append(key)
-            record(child)
-            insort(open_list, (path_cost(child.residual_norm, child.k, model,
-                                         fact.residual_norm), key, child))
-            if len(open_list) > cap:
-                open_list.pop()
-        opened = max(opened, len(open_list))
+        push(fact, config.expand_branches)
 
     # Open set exhausted: every live path ended at the cap, a duplicate, or
     # a degenerate column. Fall back to the best support seen anywhere.
     terminated = RESIDUAL_MET if best_any.residual_norm < eps else PATH_BUDGET_EXHAUSTED
-    tr = {"projected": projected, "completed": completed_keys} if trace else None
-    return _finish(n, best_any, iterations, explored, opened, terminated, tr)
+    tr = {"projected": expand.projected, "completed": completed_keys} if trace else None
+    return _finish(n, best_any, iterations, expand.explored, opened, terminated, tr)

@@ -227,6 +227,9 @@ def test_sweep_validations():
         run_sweep(24, 12, [3], 0, cfgs, 1)
     with pytest.raises(ValueError):
         run_sweep(24, 12, [3], 2, [cfgs[0], cfgs[0]], 1)  # duplicate labels
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            run_sweep(24, 12, [3], 2, cfgs, 1, jobs=jobs)
 
 
 def test_reference_configs_shape():

@@ -187,6 +187,11 @@ def test_bench_invalid_config(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "n > m > k" in err
+    code = main(["bench", "--n", "24", "--m", "12", "--k", "3",
+                 "--trials", "1", "--jobs", "0", "--csv", str(tmp_path / "x.csv"),
+                 "--json", str(tmp_path / "x.json")])
+    assert code == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_bench_bad_k_range(tmp_path, capsys):

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from pursuitlab.linalg import (
-    DegenerateColumnError,
-    correlate,
-    factor_append,
-    factor_init,
-    solve_coefficients,
-)
+from pursuitlab.linalg import DegenerateColumnError, factor_init
+from pursuitlab.pursuit import _ranked
 
 
 def correlate_oracle(a, r):
@@ -36,23 +31,27 @@ def random_instance(rng, rows, cols):
     return a, y
 
 
+# Column correlations are computed where the searches rank candidates.
+
 def test_correlate_identity_example():
     a = np.eye(3)
     r = np.array([3.0, -4.0, 0.0])
-    assert np.array_equal(correlate(a, r), np.array([3.0, 4.0, 0.0]))
+    f = factor_init(a, r)
+    assert _ranked(a, f).tolist() == [1, 0, 2]
+    f.append(a, 1)
+    assert _ranked(a, f).tolist() == [0, 2]
 
 
 def test_correlate_matches_double_loop_oracle():
     rng = np.random.default_rng(101)
     for _ in range(25):
         a, y = random_instance(rng, int(rng.integers(2, 12)), int(rng.integers(2, 20)))
-        got = correlate(np.asfortranarray(a), y)
-        np.testing.assert_allclose(got, correlate_oracle(a, y), rtol=0, atol=1e-12)
-
-
-def test_correlate_rejects_row_mismatch():
-    with pytest.raises(ValueError):
-        correlate(np.eye(3), np.ones(4))
+        a = np.asfortranarray(a)
+        order = _ranked(a, factor_init(a, y))
+        assert sorted(order.tolist()) == list(range(a.shape[1]))
+        # Oracle correlations along the ranking never increase.
+        corr = correlate_oracle(a, y)[order]
+        assert np.all(np.diff(corr) <= 1e-12)
 
 
 def test_factor_init_is_empty():
@@ -69,24 +68,26 @@ def test_factor_append_identity_example():
     a = np.eye(3)
     y = np.array([2.0, 5.0, 0.0])
     f = factor_init(a, y)
-    factor_append(f, a, 1)
+    f.append(a, 1)
     assert f.indices == [1]
     np.testing.assert_allclose(f.residual, [2.0, 0.0, 0.0], atol=1e-15)
     assert f.residual_norm == pytest.approx(2.0)
-    np.testing.assert_allclose(solve_coefficients(f), [5.0], atol=1e-15)
+    np.testing.assert_allclose(f.coefficients(), [5.0], atol=1e-15)
 
 
 def test_factor_append_rejects_duplicate_and_bad_index():
     a = np.asfortranarray(np.random.default_rng(3).standard_normal((5, 7)))
     y = np.arange(5.0)
     f = factor_init(a, y)
-    factor_append(f, a, 2)
+    f.append(a, 2)
     with pytest.raises(ValueError):
-        factor_append(f, a, 2)
+        f.append(a, 2)
     with pytest.raises(ValueError):
-        factor_append(f, a, 7)
+        f.append(a, 7)
     with pytest.raises(ValueError):
-        factor_append(f, a, -1)
+        f.append(a, -1)
+    with pytest.raises(ValueError):
+        f.append(a[:4], 3)  # row mismatch
 
 
 def test_degenerate_column_raises_and_leaves_state_intact():
@@ -94,10 +95,10 @@ def test_degenerate_column_raises_and_leaves_state_intact():
     a = np.asfortranarray(np.array([[1.0, 1.0], [0.0, 0.0]]))
     y = np.array([1.0, 1.0])
     f = factor_init(a, y)
-    factor_append(f, a, 0)
+    f.append(a, 0)
     before = (list(f.indices), f.residual_norm, f.residual.copy())
     with pytest.raises(DegenerateColumnError):
-        factor_append(f, a, 1)
+        f.append(a, 1)
     assert f.indices == before[0]
     assert f.residual_norm == before[1]
     np.testing.assert_array_equal(f.residual, before[2])
@@ -107,15 +108,15 @@ def test_zero_column_is_degenerate():
     a = np.asfortranarray(np.array([[0.0, 1.0], [0.0, 1.0]]))
     f = factor_init(a, np.ones(2))
     with pytest.raises(DegenerateColumnError):
-        factor_append(f, a, 0)
+        f.append(a, 0)
 
 
 def test_capacity_exhaustion():
     a = np.asfortranarray(np.eye(3))
     f = factor_init(a, np.ones(3), capacity=1)
-    factor_append(f, a, 0)
+    f.append(a, 0)
     with pytest.raises(ValueError):
-        factor_append(f, a, 1)
+        f.append(a, 1)
 
 
 def test_oracle_equivalence_200_instances():
@@ -131,8 +132,8 @@ def test_oracle_equivalence_200_instances():
 
         f = factor_init(a, y)
         for j in sel:
-            factor_append(f, a, j)
-        coef = solve_coefficients(f)
+            f.append(a, j)
+        coef = f.coefficients()
         oracle_coef, oracle_resid = dense_ls_oracle(a, y, sel)
 
         scale = max(1.0, float(np.max(np.abs(oracle_coef))))
@@ -154,7 +155,7 @@ def test_residual_norms_monotone_and_orthogonal():
         size = int(rng.integers(2, min(6, rows) + 1))
         norms = [f.residual_norm]
         for j in rng.choice(cols, size=size, replace=False):
-            factor_append(f, a, int(j))
+            f.append(a, int(j))
             norms.append(f.residual_norm)
         # Non-increasing residual norms.
         assert all(b <= a_ for a_, b in zip(norms, norms[1:]))
@@ -163,7 +164,7 @@ def test_residual_norms_monotone_and_orthogonal():
         gram = q.T @ q
         assert np.max(np.abs(gram - np.eye(f.k))) <= 1e-10
         assert np.max(np.abs(q.T @ f.residual)) <= 1e-10 * max(1.0, ynorm)
-        assert np.max(correlate(a[:, f.indices], f.residual)) <= 1e-10 * max(1.0, ynorm)
+        assert np.max(np.abs(a[:, f.indices].T @ f.residual)) <= 1e-10 * max(1.0, ynorm)
 
 
 def test_permutation_consistency():
@@ -176,17 +177,17 @@ def test_permutation_consistency():
 
         f1 = factor_init(a, y)
         for j in sel:
-            factor_append(f1, a, j)
+            f1.append(a, j)
         perm = list(sel)
         rng.shuffle(perm)
         f2 = factor_init(a, y)
         for j in perm:
-            factor_append(f2, a, j)
+            f2.append(a, j)
 
         assert abs(f1.residual_norm - f2.residual_norm) <= 1e-10
         # Coefficients agree once keyed by column index.
-        c1 = dict(zip(f1.indices, solve_coefficients(f1)))
-        c2 = dict(zip(f2.indices, solve_coefficients(f2)))
+        c1 = dict(zip(f1.indices, f1.coefficients()))
+        c2 = dict(zip(f2.indices, f2.coefficients()))
         for j in sel:
             assert c1[j] == pytest.approx(c2[j], abs=1e-8)
 
@@ -197,18 +198,18 @@ def test_full_rank_square_append_all():
     y = rng.standard_normal(6)
     f = factor_init(a, y)
     for j in range(6):
-        factor_append(f, a, j)
+        f.append(a, j)
     assert f.residual_norm <= 1e-10
-    np.testing.assert_allclose(a @ solve_coefficients(f), y, atol=1e-9)
+    np.testing.assert_allclose(a @ f.coefficients(), y, atol=1e-9)
 
 
 def test_copy_is_independent():
     a = np.asfortranarray(np.random.default_rng(5).standard_normal((8, 10)))
     y = np.random.default_rng(6).standard_normal(8)
     f = factor_init(a, y)
-    factor_append(f, a, 3)
+    f.append(a, 3)
     g = f.copy()
-    factor_append(g, a, 5)
+    g.append(a, 5)
     assert f.indices == [3] and g.indices == [3, 5]
     assert g.residual_norm <= f.residual_norm
 
@@ -216,10 +217,10 @@ def test_copy_is_independent():
 def test_solve_rejects_singular_factor():
     a = np.asfortranarray(np.eye(2))
     f = factor_init(a, np.ones(2))
-    factor_append(f, a, 0)
+    f.append(a, 0)
     f.r[0, 0] = 0.0
     with pytest.raises(ValueError):
-        solve_coefficients(f)
+        f.coefficients()
 
 
 def test_init_validates_inputs():

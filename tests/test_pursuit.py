@@ -213,18 +213,29 @@ def test_omp_kmax_cap_reports_sparsity_met():
     assert len(res.support) == 4
 
 
-def test_omp_degenerate_dictionary_raises():
+def _search(algorithm, a, y, rule, trace=False):
+    if algorithm == "omp":
+        return run_omp(a, y, rule, trace=trace)
+    run = {"mmp-bf": run_mmp_bf, "mmp-df": run_mmp_df, "aomp": run_aomp}[algorithm]
+    return run(a, y, PursuitConfig(algorithm, rule), trace=trace)
+
+
+@pytest.mark.parametrize("algorithm", ["omp", "mmp-bf", "mmp-df", "aomp"])
+def test_omp_degenerate_dictionary_raises(algorithm):
     a = np.zeros((3, 4))
     with pytest.raises(DegenerateDictionaryError):
-        run_omp(a, np.ones(3), TerminationRule.sparsity(1))
+        _search(algorithm, a, np.ones(3), TerminationRule.sparsity(1))
 
 
-def test_omp_skips_degenerate_column():
+@pytest.mark.parametrize("algorithm", ["omp", "mmp-bf", "mmp-df", "aomp"])
+def test_omp_skips_degenerate_column(algorithm):
     # Second copy of the best column must be skipped, not crash the search.
     a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     y = np.array([2.0, 1.0])
-    res = run_omp(a, y, TerminationRule.sparsity(2))
+    res = _search(algorithm, a, y, TerminationRule.sparsity(2), trace=True)
     assert sorted(res.support) == [0, 2]
+    if algorithm != "omp":
+        assert res.explored_nodes == len(res.trace["projected"])
 
 
 # --- MMP breadth-first -------------------------------------------------------
@@ -443,10 +454,11 @@ def test_aomp_budget_respected():
     rng = np.random.default_rng(31)
     a = rng.normal(0.0, 1.0 / np.sqrt(12), size=(12, 32))
     y = rng.standard_normal(12)
-    res = run_aomp(a, y, _aomp_config(TerminationRule.sparsity(4),
-                                      init_paths=3, expand_branches=3,
-                                      max_paths=7))
-    assert res.paths_opened <= 7
+    for init in (3, 9):  # 9 initial paths exceed the open-set cap
+        res = run_aomp(a, y, _aomp_config(TerminationRule.sparsity(4),
+                                          init_paths=init, expand_branches=3,
+                                          max_paths=7))
+        assert res.paths_opened <= 7
 
 
 def test_aomp_no_duplicate_projections():
