@@ -1,10 +1,16 @@
 """Tree-search matching pursuits: greedy, breadth-first, depth-first, best-first.
 
 All four searches grow candidate supports column by column over a shared
-incremental QR core, differ only in how they schedule partial paths, and
-report uniform counters: iterations (level advances / expansion rounds),
-explored_nodes (one per successful child projection), and paths_opened
-(paths charged against the max_paths budget).
+incremental QR core. The three tree searches share one child-expansion
+step and differ only in how they schedule partial paths. Every search
+reports the same counters:
+
+- iterations: rounds in which the search ranked a path's candidate columns
+  and grew from them. run_omp counts columns appended, run_mmp_bf levels
+  that made at least one child, run_mmp_df tree nodes whose children it
+  ranked, and run_aomp open paths it popped and expanded.
+- explored_nodes: one per projection of a support not seen before.
+- paths_opened: paths charged against the max_paths budget.
 """
 
 import math
@@ -520,8 +526,7 @@ def run_mmp_df(a, y, config, trace=False):
     terminated = RESIDUAL_MET if state["found"] else PATH_BUDGET_EXHAUSTED
     tr = ({"projected": expand.projected, "completed": state["completed"]}
           if trace else None)
-    return _finish(n, best, expand.explored, expand.explored,
-                   state["paths"], terminated, tr)
+    return _finish(n, best, len(tree), expand.explored, state["paths"], terminated, tr)
 
 
 def run_aomp(a, y, config, trace=False):
