@@ -39,18 +39,51 @@ def as_vector(y):
     return v
 
 
+class _Columns:
+    """Capacity-width q/r/qty storage shared by factorizations with a common prefix.
+
+    Columns [0, fill) are written once and never change afterwards, so every
+    factorization whose first columns are these can read them in place.
+    """
+
+    __slots__ = ("q", "r", "qty", "fill")
+
+    def __init__(self, rows, capacity):
+        self.q = np.empty((rows, capacity), dtype=np.float64, order="F")
+        self.r = np.zeros((capacity, capacity), dtype=np.float64)
+        self.qty = np.zeros(capacity, dtype=np.float64)
+        self.fill = 0
+
+    def claim(self, k, u, w, unorm, c):
+        """Write column k, the first free slot."""
+        self.q[:, k] = u
+        self.r[:k, k] = w
+        self.r[k, k] = unorm
+        self.qty[k] = c
+        self.fill = k + 1
+
+
 class IncrementalFactorization:
     """QR factorization of a growing column selection.
 
     Tracks the selected column indices, an orthonormal basis q of their span,
     the triangular factor r, the projections qty = q.T @ y, and the residual
     of y against the span. One append costs O(rows * size) instead of a dense
-    re-solve. Instances are single-owner and mutable: branch a search path by
-    calling copy() first.
+    re-solve.
+
+    Instances are mutable; branch a search path by calling copy() first.
+    A copy shares its source's q/r/qty buffer and owns only its residual and
+    index lists, so it costs O(rows + size). The first factorization to
+    append to a shared buffer at slot k claims that slot and writes there;
+    written slots never change. A later append at a claimed slot keeps its
+    column pending beside the buffer, and the factorization copies its
+    columns into a private buffer only when it is copied, appended to or
+    solved. Until then column k-1 of q, r and qty belongs to whichever
+    factorization claimed it.
     """
 
-    __slots__ = ("rows", "capacity", "k", "indices", "index_set", "q", "r",
-                 "qty", "residual", "residual_norm", "y_norm")
+    __slots__ = ("rows", "capacity", "k", "indices", "index_set", "cols",
+                 "pending", "residual", "residual_norm", "y_norm")
 
     def __init__(self, rows, capacity, y):
         self.rows = rows
@@ -58,23 +91,47 @@ class IncrementalFactorization:
         self.k = 0
         self.indices = []
         self.index_set = set()
-        self.q = np.empty((rows, capacity), dtype=np.float64, order="F")
-        self.r = np.zeros((capacity, capacity), dtype=np.float64)
-        self.qty = np.zeros(capacity, dtype=np.float64)
+        self.cols = _Columns(rows, capacity)
+        self.pending = None     # (u, w, unorm, c) of column k-1 when unslotted
         self.residual = y.copy()
         self.y_norm = math.sqrt(float(y @ y))
         self.residual_norm = self.y_norm
 
+    @property
+    def q(self):
+        return self.cols.q
+
+    @property
+    def r(self):
+        return self.cols.r
+
+    @property
+    def qty(self):
+        return self.cols.qty
+
+    def _own(self):
+        # Move the shared prefix and the pending column into a private buffer.
+        k = self.k - 1
+        old = self.cols
+        cols = _Columns(self.rows, self.capacity)
+        cols.q[:, :k] = old.q[:, :k]
+        cols.r[:k, :k] = old.r[:k, :k]
+        cols.qty[:k] = old.qty[:k]
+        cols.claim(k, *self.pending)
+        self.cols = cols
+        self.pending = None
+
     def copy(self):
+        if self.pending is not None:
+            self._own()
         new = IncrementalFactorization.__new__(IncrementalFactorization)
         new.rows = self.rows
         new.capacity = self.capacity
         new.k = self.k
         new.indices = list(self.indices)
         new.index_set = set(self.index_set)
-        new.q = self.q.copy(order="F")
-        new.r = self.r.copy()
-        new.qty = self.qty.copy()
+        new.cols = self.cols
+        new.pending = None
         new.residual = self.residual.copy()
         new.residual_norm = self.residual_norm
         new.y_norm = self.y_norm
@@ -90,13 +147,16 @@ class IncrementalFactorization:
             raise ValueError(f"column index {j} already selected")
         if self.k >= self.capacity:
             raise ValueError(f"factorization capacity {self.capacity} exhausted")
+        if self.pending is not None:
+            self._own()
 
         k = self.k
+        cols = self.cols
         v = a[:, j]
         vnorm2 = float(v @ v)
         if vnorm2 == 0.0:
             raise DegenerateColumnError(f"column {j} is zero")
-        qk = self.q[:, :k]
+        qk = cols.q[:, :k]
         w = qk.T @ v
         u = v - qk @ w
         unorm2 = float(u @ u)
@@ -112,10 +172,10 @@ class IncrementalFactorization:
         unorm = math.sqrt(unorm2)
         u /= unorm
         c = float(u @ self.residual)
-        self.q[:, k] = u
-        self.r[:k, k] = w
-        self.r[k, k] = unorm
-        self.qty[k] = c
+        if cols.fill == k:
+            cols.claim(k, u, w, unorm, c)
+        else:
+            self.pending = (u, w, unorm, c)
         self.residual -= c * u
         # A projection cannot lengthen the residual; clamp away rounding noise.
         self.residual_norm = min(self.residual_norm,
@@ -127,13 +187,16 @@ class IncrementalFactorization:
 
     def coefficients(self):
         """Solve for the least-squares coefficients of the selected columns."""
+        if self.pending is not None:
+            self._own()
         k = self.k
-        x = self.qty[:k].copy()
+        r = self.cols.r
+        x = self.cols.qty[:k].copy()
         for i in range(k - 1, -1, -1):
-            if self.r[i, i] == 0.0:
+            if r[i, i] == 0.0:
                 raise ValueError("singular triangular factor")
-            x[i] -= self.r[i, i + 1:k] @ x[i + 1:k]
-            x[i] /= self.r[i, i]
+            x[i] -= r[i, i + 1:k] @ x[i + 1:k]
+            x[i] /= r[i, i]
         return x
 
 

@@ -232,3 +232,122 @@ def test_init_validates_inputs():
         factor_init(np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
         factor_init(np.ones((2, 2)), np.array([1.0, np.nan]))
+
+
+def replay(a, y, indices, capacity):
+    f = factor_init(a, y, capacity=capacity)
+    for j in indices:
+        f.append(a, j)
+    return f
+
+
+def own_columns(f):
+    # q, r and qty of f's k columns, read without settling a pending column.
+    k = f.k
+    q = f.q[:, :k].copy()
+    r = f.r[:k, :k].copy()
+    qty = f.qty[:k].copy()
+    if f.pending is not None:
+        u, w, unorm, c = f.pending
+        q[:, k - 1] = u
+        r[:k - 1, k - 1] = w
+        r[k - 1, k - 1] = unorm
+        qty[k - 1] = c
+    return q, r, qty
+
+
+def assert_matches_replay(f, a, y, capacity, settled=False):
+    want = replay(a, y, f.indices, capacity)
+    k = f.k
+    if settled:
+        got = (f.q[:, :k], f.r[:k, :k], f.qty[:k])
+    else:
+        got = own_columns(f)
+    np.testing.assert_array_equal(got[0], want.q[:, :k])
+    np.testing.assert_array_equal(got[1], want.r[:k, :k])
+    np.testing.assert_array_equal(got[2], want.qty[:k])
+    np.testing.assert_array_equal(f.residual, want.residual)
+    assert f.residual_norm == want.residual_norm
+    return want
+
+
+def test_shared_buffer_interleavings_match_fresh_replay():
+    # Copies share their source's buffer; the first append at a slot claims
+    # it, later ones stay pending until the factor is copied, appended to or
+    # solved. Every live factor must stay bit-identical to a fresh replay.
+    rng = np.random.default_rng(2024)
+    seen = dict.fromkeys(("claim", "pending", "pending_copied", "parent_after_claim",
+                          "degenerate_free_slot", "solve_pending"), 0)
+    for _ in range(20):
+        rows, capacity = 7, 6
+        a = rng.standard_normal((rows, 10))
+        a[:, 1] = a[:, 0]                # duplicate column
+        a[:, 2] = 0.0                    # zero column
+        a[:, 3] = a[:, 4] - 2.0 * a[:, 5]  # in span{4, 5}
+        a = np.asfortranarray(a)
+        y = rng.standard_normal(rows)
+        live = [factor_init(a, y, capacity=capacity)]
+        for _step in range(40):
+            op = rng.random()
+            f = live[int(rng.integers(len(live)))]
+            if op < 0.35:
+                seen["pending_copied"] += f.pending is not None
+                live.append(f.copy())
+            elif op < 0.8:
+                free = [j for j in range(a.shape[1]) if j not in f.index_set]
+                if f.k == capacity or not free:
+                    continue
+                j = int(rng.choice(free))
+                cols, fill, pending, k = f.cols, f.cols.fill, f.pending, f.k
+                residual = f.residual.copy()
+                if pending is None and fill > k:
+                    seen["parent_after_claim"] += 1
+                try:
+                    f.append(a, j)
+                except DegenerateColumnError:
+                    assert f.k == k and j not in f.index_set
+                    np.testing.assert_array_equal(f.residual, residual)
+                    if pending is None:
+                        # No claim and no pending column left behind.
+                        assert f.cols is cols and cols.fill == fill
+                        assert f.pending is None
+                        seen["degenerate_free_slot"] += fill == k
+                    continue
+                if f.pending is None:
+                    seen["claim"] += 1
+                else:
+                    seen["pending"] += 1
+            elif op < 0.9:
+                seen["solve_pending"] += f.pending is not None
+                want = replay(a, y, f.indices, capacity)
+                np.testing.assert_array_equal(f.coefficients(), want.coefficients())
+                assert f.pending is None
+            elif len(live) > 1:
+                live.remove(f)
+            for g in live:
+                assert_matches_replay(g, a, y, capacity)
+        for g in live:
+            want = replay(a, y, g.indices, capacity)
+            np.testing.assert_array_equal(g.coefficients(), want.coefficients())
+            assert_matches_replay(g, a, y, capacity, settled=True)
+    assert all(n > 0 for n in seen.values()), seen
+
+
+def test_copy_shares_the_buffer_and_children_claim_in_order():
+    rng = np.random.default_rng(9)
+    a = np.asfortranarray(rng.standard_normal((6, 8)))
+    y = rng.standard_normal(6)
+    parent = factor_init(a, y)
+    parent.append(a, 0)
+    first = parent.copy().append(a, 1)
+    second = parent.copy().append(a, 2)
+    # The first child wrote its column into the shared buffer; the second
+    # child holds its column pending and copies nothing.
+    assert first.cols is parent.cols and first.pending is None
+    assert second.cols is parent.cols and second.pending is not None
+    grandchild = second.copy().append(a, 3)
+    # Expanding the pending child moved it to a private buffer first.
+    assert second.cols is not parent.cols and second.pending is None
+    assert grandchild.cols is second.cols and grandchild.pending is None
+    for f in (parent, first, second, grandchild):
+        assert_matches_replay(f, a, y, 6, settled=True)

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pursuitlab.benchlab import gen_problem
 from pursuitlab.pursuit import (
     ADAPTIVE_MULTIPLICATIVE,
     MULTIPLICATIVE,
@@ -575,3 +579,26 @@ def test_algorithm_config_mismatch_rejected():
         run_mmp_bf(np.eye(3), np.ones(3), cfg)
     with pytest.raises(ValueError):
         run_aomp(np.eye(3), np.ones(3), cfg)
+
+
+def test_mmp_df_memory_stays_near_omp():
+    # A deep noisy path: children share their parent's factor buffer, so the
+    # depth-first search holds a few buffers, not one full copy per level.
+    prob = gen_problem(600, 300, 37, 5)
+    rng = np.random.default_rng(5)
+    sigma = 0.01 * np.linalg.norm(prob.observation) / math.sqrt(300)
+    y = prob.observation + rng.normal(0.0, sigma, 300)
+    rule = TerminationRule.residual(1e-6, k_max=300)
+    config = PursuitConfig("mmp-df", rule, branch_factor=6, max_paths=20)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    omp = peak(lambda: run_omp(prob.dictionary, y, rule))
+    mmp_df = peak(lambda: run_mmp_df(prob.dictionary, y, config))
+    assert mmp_df <= 4 * omp, (mmp_df, omp)
