@@ -256,19 +256,15 @@ def own_columns(f):
     return q, r, qty
 
 
-def assert_matches_replay(f, a, y, capacity, settled=False):
+def assert_matches_replay(f, a, y, capacity):
     want = replay(a, y, f.indices, capacity)
     k = f.k
-    if settled:
-        got = (f.q[:, :k], f.r[:k, :k], f.qty[:k])
-    else:
-        got = own_columns(f)
-    np.testing.assert_array_equal(got[0], want.q[:, :k])
-    np.testing.assert_array_equal(got[1], want.r[:k, :k])
-    np.testing.assert_array_equal(got[2], want.qty[:k])
+    q, r, qty = own_columns(f)
+    np.testing.assert_array_equal(q, want.q[:, :k])
+    np.testing.assert_array_equal(r, want.r[:k, :k])
+    np.testing.assert_array_equal(qty, want.qty[:k])
     np.testing.assert_array_equal(f.residual, want.residual)
     assert f.residual_norm == want.residual_norm
-    return want
 
 
 def test_shared_buffer_interleavings_match_fresh_replay():
@@ -307,10 +303,10 @@ def test_shared_buffer_interleavings_match_fresh_replay():
                 except DegenerateColumnError:
                     assert f.k == k and j not in f.index_set
                     np.testing.assert_array_equal(f.residual, residual)
+                    # No pending column left behind, and no slot claimed.
+                    assert f.pending is None
                     if pending is None:
-                        # No claim and no pending column left behind.
                         assert f.cols is cols and cols.fill == fill
-                        assert f.pending is None
                         seen["degenerate_free_slot"] += fill == k
                     continue
                 if f.pending is None:
@@ -329,7 +325,7 @@ def test_shared_buffer_interleavings_match_fresh_replay():
         for g in live:
             want = replay(a, y, g.indices, capacity)
             np.testing.assert_array_equal(g.coefficients(), want.coefficients())
-            assert_matches_replay(g, a, y, capacity, settled=True)
+            assert_matches_replay(g, a, y, capacity)
     assert all(n > 0 for n in seen.values()), seen
 
 
@@ -350,4 +346,4 @@ def test_copy_shares_the_buffer_and_children_claim_in_order():
     assert second.cols is not parent.cols and second.pending is None
     assert grandchild.cols is second.cols and grandchild.pending is None
     for f in (parent, first, second, grandchild):
-        assert_matches_replay(f, a, y, 6, settled=True)
+        assert_matches_replay(f, a, y, 6)
