@@ -185,8 +185,8 @@ def _cmd_rip(args):
         k, l = args.s - 1, 1
     if k < 1:
         raise ValueError("--s must be at least 2 to split into k and l")
+    pair = lemma1_bounds(k, l)  # reject a bad split before the enumeration
     cert = compute_ric(a, args.s, subset_cap=args.cap)
-    pair = lemma1_bounds(k, l)
     print(f"subset_size: {cert.subset_size}")
     print(f"delta: {cert.delta:.12g}")
     print(f"extremal_subset: {' '.join(str(j) for j in cert.extremal_subset)}")

@@ -105,6 +105,25 @@ def ric_bruteforce(a, s):
     return max(best, 0.0)
 
 
+def ric_reference(a, s):
+    """Exact delta_s by one eigvalsh call per subset, in combinations order.
+
+    Returns (delta, subset) with the first subset attaining the maximum
+    deviation, the tie rule the chunked compute_ric must reproduce.
+    """
+    gram = a.T @ a
+    best = -np.inf
+    best_subset = None
+    for subset in itertools.combinations(range(a.shape[1]), s):
+        idx = list(subset)
+        eigs = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
+        dev = max(eigs[-1] - 1.0, 1.0 - eigs[0])
+        if dev > best:
+            best = dev
+            best_subset = subset
+    return max(float(best), 0.0), best_subset
+
+
 def sparse_instance(rng, n, m, k, scale=1.0):
     """Gaussian dictionary and an exactly k-sparse signal; returns (a, x, y)."""
     a = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))

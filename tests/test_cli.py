@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pursuitlab import cli
 from pursuitlab.cli import main
 
 
@@ -234,6 +235,19 @@ def test_rip_split_validation(tmp_path, capsys):
     assert main(["rip", str(mat), "--s", "3", "--k", "3", "--l", "2"]) == 1
     assert main(["rip", str(mat), "--s", "4", "--k", "2", "--l", "2"]) == 0
     capsys.readouterr()
+
+
+def test_rip_rejects_bad_split_before_enumerating(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("compute_ric ran before the split was checked")
+
+    monkeypatch.setattr(cli, "compute_ric", no_enumeration)
+    mat = tmp_path / "g.txt"
+    _write_array(mat, np.random.default_rng(0).standard_normal((8, 18)))
+    for k, l in (("6", "0"), ("7", "-1")):
+        assert main(["rip", str(mat), "--s", "6", "--k", k, "--l", l]) == 1
+        assert "k and l must be >= 1" in capsys.readouterr().err
 
 
 def test_bounds_spot_values(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import pathlib
+import tracemalloc
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
+from pursuitlab import ripcert
 from pursuitlab.pursuit import PursuitConfig, TerminationRule, run_mmp_df
 from pursuitlab.ripcert import (
     BoundPair,
@@ -14,7 +18,7 @@ from pursuitlab.ripcert import (
     matrix_digest,
 )
 
-from _oracles import random_orthonormal, ric_bruteforce
+from _oracles import random_orthonormal, ric_bruteforce, ric_reference
 
 
 # --- compute_ric ---------------------------------------------------------------
@@ -75,6 +79,48 @@ def test_ric_scale_law_on_isometry():
         assert cert.delta == pytest.approx(abs(c * c - 1.0), abs=1e-12)
 
 
+def _chunk_rows(s):
+    return max(1, ripcert._CHUNK_ENTRIES // (s * s))
+
+
+def test_ric_chunks_match_per_subset_reference():
+    rng = np.random.default_rng(41)
+    gauss = rng.normal(0.0, 1.0 / 8.0, size=(64, 18))
+    small = rng.normal(0.0, 1.0 / np.sqrt(10), size=(10, 7))
+    # Six copies of one orthonormal column: every 5-subset drawn from its
+    # seven copies has Gram all-ones and deviation 4 up to rounding.
+    q = random_orthonormal(rng, 20)
+    dup = np.hstack([q[:, :12], np.repeat(q[:, [3]], 6, axis=1)])
+    cases = [(gauss, 6), (small, 1), (small, 7), (dup, 5)]
+
+    total = comb(18, 6)
+    assert total > _chunk_rows(6) and total % _chunk_rows(6) != 0
+    copies = {3, *range(12, 18)}
+    tied = [i for i, t in enumerate(combinations(range(18), 5))
+            if copies.issuperset(t)]
+    assert len({i // _chunk_rows(5) for i in tied}) > 1
+
+    for a, s in cases:
+        delta, subset = ric_reference(a, s)
+        cert = compute_ric(a, s)
+        assert cert.delta == delta
+        assert cert.extremal_subset == subset
+        assert all(type(j) is int for j in cert.extremal_subset)
+
+
+@pytest.mark.parametrize("cols,s", [(24, 5), (28, 6)])
+def test_ric_memory_is_bounded_by_the_chunk(cols, s):
+    # 42,504 and 376,740 subsets: the peak follows the chunk, not the count.
+    a = np.random.default_rng(43).standard_normal((64, cols))
+    tracemalloc.start()
+    try:
+        compute_ric(a, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
 def test_ric_cap_refusal():
     rng = np.random.default_rng(29)
     a = rng.standard_normal((6, 12))
@@ -93,6 +139,8 @@ def test_ric_validations():
         compute_ric(a, 5)
     with pytest.raises(ValueError):
         compute_ric(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1)
+    with pytest.raises(ValueError, match="overflows"):
+        compute_ric(np.array([[1e200, 0.0], [0.0, 1.0]]), 1)  # Gram entry inf
     with pytest.raises(ValueError):
         RicCertificate(2, 0.5, (1,), "d")  # subset size mismatch
     with pytest.raises(ValueError):
