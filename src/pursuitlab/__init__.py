@@ -12,14 +12,12 @@ from .pursuit import (
     DegenerateDictionaryError,
     PursuitConfig,
     PursuitResult,
-    SupportTrie,
     TerminationRule,
-    path_cost,
+    run,
     run_aomp,
     run_mmp_bf,
     run_mmp_df,
     run_omp,
-    scatter_estimate,
 )
 from .benchlab import (
     SparseProblem,
@@ -38,7 +36,6 @@ from .ripcert import (
     BoundPair,
     EnumerationCapError,
     RicCertificate,
-    check_recovery_condition,
     compute_ric,
     lemma1_bounds,
     matrix_digest,

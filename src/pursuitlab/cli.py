@@ -24,10 +24,7 @@ from .pursuit import (
     DegenerateDictionaryError,
     PursuitConfig,
     TerminationRule,
-    run_aomp,
-    run_mmp_bf,
-    run_mmp_df,
-    run_omp,
+    run,
 )
 from .ripcert import EnumerationCapError, compute_ric, lemma1_bounds
 
@@ -119,14 +116,7 @@ def _cmd_recover(args):
                            init_paths=args.i, expand_branches=args.b,
                            max_paths=args.max_paths,
                            cost_model=CostModel(kind=kind, alpha=alpha))
-    if args.alg == "omp":
-        result = run_omp(a, y, rule)
-    elif args.alg == "mmp-bf":
-        result = run_mmp_bf(a, y, config)
-    elif args.alg == "mmp-df":
-        result = run_mmp_df(a, y, config)
-    else:
-        result = run_aomp(a, y, config)
+    result = run(a, y, config)
     _write_vector(args.output, result.estimate)
     print(f"support: {' '.join(str(j) for j in sorted(result.support))}")
     print(f"residual_norm: {result.residual_norm:.12g}")
@@ -148,6 +138,10 @@ def _cmd_bench(args):
     k_values = _parse_k_values(k_text)
     configs = reference_configs(epsilon_rel=args.eps, k_max=args.kmax)
     seed = args.seed if args.seed is not None else _default_seed()
+    for path in (args.csv, args.json, args.trial_log):
+        # Refuse a path the sweep could not write before computing any trial.
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"cannot write {path}: no such directory")
     report = run_sweep(n, m, k_values, trials, configs, seed,
                        exact_tol=args.exact_tol, jobs=args.jobs,
                        trial_log=args.trial_log,

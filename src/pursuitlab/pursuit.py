@@ -1,14 +1,15 @@
 """Tree-search matching pursuits: greedy, breadth-first, depth-first, best-first.
 
 All four searches grow candidate supports column by column over a shared
-incremental QR core. The three tree searches share one child-expansion
-step and differ only in how they schedule partial paths. Every search
-reports the same counters:
+incremental QR core. They share one child-expansion step and differ only
+in how they schedule partial paths; OMP is the breadth-first beam with one
+branch and one surviving path. run() maps a config to its search. Every
+search reports the same counters:
 
 - iterations: rounds in which the search ranked a path's candidate columns
-  and grew from them. run_omp counts columns appended, run_mmp_bf levels
-  that made at least one child, run_mmp_df tree nodes whose children it
-  ranked, and run_aomp open paths it popped and expanded.
+  and grew from them. run_omp and run_mmp_bf count levels that made at
+  least one child, run_mmp_df tree nodes whose children it ranked, and
+  run_aomp open paths it popped and expanded.
 - explored_nodes: one per projection of a support not seen before.
 - paths_opened: paths charged against the max_paths budget.
 """
@@ -32,6 +33,7 @@ __all__ = [
     "DegenerateDictionaryError", "TerminationRule", "CostModel",
     "PursuitConfig", "PursuitResult", "SupportTrie", "path_cost",
     "scatter_estimate", "run_omp", "run_mmp_bf", "run_mmp_df", "run_aomp",
+    "run",
 ]
 
 SPARSITY = "sparsity"
@@ -259,7 +261,7 @@ _DUP = object()
 
 
 class _Expansion:
-    """The child step shared by the three tree searches.
+    """The child step shared by every search.
 
     Holds the search's support registry, its explored-node count and, when
     tracing, the log of projected supports. Every projection of a new
@@ -313,68 +315,14 @@ class _Expansion:
         return out
 
 
-def run_omp(a, y, termination, trace=False):
-    """Greedy pursuit: repeatedly append the best-correlated usable column.
-
-    Parameters
-    ----------
-    a : (rows, cols) array
-        Dictionary whose columns are the candidate atoms.
-    y : (rows,) array
-        Observed signal.
-    termination : TerminationRule
-    trace : bool
-        Attach projected/completed support logs to the result.
-    """
-    a, y, max_len, eps = _setup(a, y, termination)
-    n = a.shape[1]
-    if not np.any(y):
-        return _zero_result(n, trace)
-    fact = factor_init(a, y, capacity=max_len)
-    projected = []
-    iterations = 0
-    while True:
-        if fact.residual_norm < eps:
-            terminated = RESIDUAL_MET
-            break
-        if fact.k == max_len:
-            terminated = SPARSITY_MET
-            break
-        appended = False
-        for j in _ranked(a, fact):
-            try:
-                fact.append(a, int(j))
-                appended = True
-                break
-            except DegenerateColumnError:
-                continue
-        if not appended:
-            if fact.k == 0:
-                raise DegenerateDictionaryError("every dictionary column is degenerate")
-            terminated = PATH_BUDGET_EXHAUSTED
-            break
-        iterations += 1
-        if trace:
-            projected.append(_support_key(fact))
-    tr = {"projected": projected, "completed": [_support_key(fact)]} if trace else None
-    return _finish(n, fact, iterations, iterations, 1, terminated, tr)
-
-
-def run_mmp_bf(a, y, config, trace=False):
-    """Breadth-first multipath pursuit: level-synchronous beam over the tree.
-
-    Every surviving path spawns its branch_factor best children per level;
-    duplicate supports are merged via the trie and the beam_width best
-    children by residual norm survive to the next level.
-    """
-    if config.algorithm != "mmp-bf":
-        raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'mmp-bf'")
-    a, y, max_len, eps = _setup(a, y, config.termination)
+def _beam(a, y, rule, branch, beam_cap, trace):
+    """Grow every beam path by its branch best children per level; the
+    beam_cap best children by residual norm form the next level's beam."""
+    a, y, max_len, eps = _setup(a, y, rule)
     n = a.shape[1]
     if not np.any(y):
         return _zero_result(n, trace)
 
-    beam_cap = min(config.beam_width, config.max_paths)
     expand = _Expansion(a, trace)
     beam = [factor_init(a, y, capacity=max_len)]
     iterations = 0
@@ -383,7 +331,7 @@ def run_mmp_bf(a, y, config, trace=False):
 
     for _level in range(max_len):
         children = [child for path in beam
-                    for child in expand.children(path, config.branch_factor)]
+                    for child in expand.children(path, branch)]
         if not children:
             break
         iterations += 1
@@ -407,6 +355,35 @@ def run_mmp_bf(a, y, config, trace=False):
     tr = {"projected": expand.projected,
           "completed": [_support_key(f) for f in completed]} if trace else None
     return _finish(n, best, iterations, expand.explored, opened, terminated, tr)
+
+
+def run_omp(a, y, termination, trace=False):
+    """Greedy pursuit: repeatedly append the best-correlated usable column.
+
+    Parameters
+    ----------
+    a : (rows, cols) array
+        Dictionary whose columns are the candidate atoms.
+    y : (rows,) array
+        Observed signal.
+    termination : TerminationRule
+    trace : bool
+        Attach projected/completed support logs to the result.
+    """
+    return _beam(a, y, termination, 1, 1, trace)
+
+
+def run_mmp_bf(a, y, config, trace=False):
+    """Breadth-first multipath pursuit: level-synchronous beam over the tree.
+
+    Every surviving path spawns its branch_factor best children per level;
+    duplicate supports are merged via the trie and the beam_width best
+    children by residual norm survive to the next level.
+    """
+    if config.algorithm != "mmp-bf":
+        raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'mmp-bf'")
+    return _beam(a, y, config.termination, config.branch_factor,
+                 min(config.beam_width, config.max_paths), trace)
 
 
 # Outcome of _descend when the branch rank does not exist.
@@ -604,3 +581,16 @@ def run_aomp(a, y, config, trace=False):
     terminated = RESIDUAL_MET if best_any.residual_norm < eps else PATH_BUDGET_EXHAUSTED
     tr = {"projected": expand.projected, "completed": completed_keys} if trace else None
     return _finish(n, best_any, iterations, expand.explored, opened, terminated, tr)
+
+
+def run(a, y, config, trace=False):
+    """Run the search that config.algorithm names; OMP reads only the rule."""
+    # The searches are looked up in this module's globals at call time, so
+    # a wrapper installed on pursuit.run_* sees every dispatched call.
+    if config.algorithm == "omp":
+        return run_omp(a, y, config.termination, trace=trace)
+    if config.algorithm == "mmp-bf":
+        return run_mmp_bf(a, y, config, trace=trace)
+    if config.algorithm == "mmp-df":
+        return run_mmp_df(a, y, config, trace=trace)
+    return run_aomp(a, y, config, trace=trace)

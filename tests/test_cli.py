@@ -250,6 +250,18 @@ def test_rip_rejects_bad_split_before_enumerating(tmp_path, capsys,
         assert "k and l must be >= 1" in capsys.readouterr().err
 
 
+def test_bench_rejects_missing_output_dir_before_sweeping(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    missing = str(tmp_path / "missing" / "out.txt")
+    for flag in ("--csv", "--json", "--trial-log"):
+        assert main(["bench", "--k", "10", "--trials", "1", flag, missing]) == 1
+        assert missing in capsys.readouterr().err
+
+
 def test_bounds_spot_values(tmp_path, capsys):
     out_json = tmp_path / "bounds.json"
     code = main(["bounds", "--k", "9", "--l", "4", "--json", str(out_json)])

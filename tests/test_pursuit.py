@@ -17,6 +17,7 @@ from pursuitlab.pursuit import (
     RESIDUAL_MET,
     SPARSITY_MET,
     path_cost,
+    run,
     run_aomp,
     run_mmp_bf,
     run_mmp_df,
@@ -192,11 +193,14 @@ def test_omp_matches_dense_oracle_support_sequence():
         a, x, y = sparse_instance(rng, n, m, k)
         if not np.any(y):
             continue
-        res = run_omp(a, y, TerminationRule.sparsity(k))
-        oracle_support, oracle_resid = dense_omp(a, y, k)
-        assert list(res.support) == oracle_support
-        assert res.residual_norm == pytest.approx(
-            np.linalg.norm(oracle_resid), abs=1e-8)
+        rules = [(TerminationRule.sparsity(k), k)] + [
+            (TerminationRule.residual(1e-6, k_max=c), c) for c in (k, m, n)]
+        for rule, limit in rules:
+            res = run_omp(a, y, rule)
+            oracle_support, oracle_resid = dense_omp(a, y, limit, eps_rel=1e-6)
+            assert list(res.support) == oracle_support
+            assert res.residual_norm == pytest.approx(
+                np.linalg.norm(oracle_resid), abs=1e-8)
 
 
 def test_omp_residual_rule_stops_early():
@@ -218,9 +222,6 @@ def test_omp_kmax_cap_reports_sparsity_met():
 
 
 def _search(algorithm, a, y, rule, trace=False):
-    if algorithm == "omp":
-        return run_omp(a, y, rule, trace=trace)
-    run = {"mmp-bf": run_mmp_bf, "mmp-df": run_mmp_df, "aomp": run_aomp}[algorithm]
     return run(a, y, PursuitConfig(algorithm, rule), trace=trace)
 
 
