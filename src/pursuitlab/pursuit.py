@@ -316,8 +316,7 @@ class _Expansion:
 
 
 def _beam(a, y, rule, branch, beam_cap, trace):
-    """Grow every beam path by its branch best children per level; the
-    beam_cap best children by residual norm form the next level's beam."""
+    """The level-synchronous beam behind run_mmp_bf and run_omp."""
     a, y, max_len, eps = _setup(a, y, rule)
     n = a.shape[1]
     if not np.any(y):

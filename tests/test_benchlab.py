@@ -134,10 +134,9 @@ def test_run_trial_resolves_sparsity_target():
 
 def test_run_trial_error_carries_seed(monkeypatch):
     import pursuitlab.benchlab as bl
-    import pursuitlab.pursuit as pu
     def boom(a, y, rule, trace=False):
         raise ValueError("synthetic failure")
-    monkeypatch.setattr(pu, "run_omp", boom)
+    monkeypatch.setattr("pursuitlab.pursuit.run_omp", boom)
     problem = gen_problem(24, 12, 3, seed=4242)
     with pytest.raises(TrialError, match="4242"):
         bl.run_trial(problem, PursuitConfig("omp", TerminationRule.sparsity(None)))
