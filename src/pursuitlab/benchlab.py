@@ -12,6 +12,7 @@ the only nondeterministic field in a report.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -231,11 +232,11 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
     """Paired Monte-Carlo sweep over sparsity levels.
 
     Every configuration runs on the identical problem sequence. With
-    jobs > 1, (sparsity, trial) slots run in worker processes; aggregation
-    folds results in deterministic slot order regardless of completion
-    order, so the report is the same for any jobs value except for the
-    wall-time means. trial_log, when given, receives one JSON line per
-    (trial, configuration) in that same order.
+    jobs > 1, (sparsity, trial) slots run in worker processes, at most one
+    per CPU core; aggregation folds results in deterministic slot order
+    regardless of completion order, so the report is the same for any jobs
+    value except for the wall-time means. trial_log, when given, receives
+    one JSON line per (trial, configuration) in that same order.
     """
     k_values = [int(k) for k in k_values]
     configs = list(configs)
@@ -258,7 +259,8 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
              for k in k_values for t in range(trials_per_k)]
     if jobs > 1:
         ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
+        workers = min(jobs, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             batches = list(pool.map(_trial_batch, slots, chunksize=4))
     else:
         batches = [_trial_batch(slot) for slot in slots]

@@ -76,6 +76,13 @@ def _write_vector(path, vec):
             fh.write(f"{v:.17g}\n")
 
 
+def _check_writable(*paths):
+    """Refuse an output path in a missing directory before any work starts."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"cannot write {path}: no such directory")
+
+
 def _parse_k_values(text):
     """Sparsity grid: a single value, a comma list, or start:step:stop."""
     if ":" in text:
@@ -105,6 +112,7 @@ def _termination_from(args):
 
 
 def _cmd_recover(args):
+    _check_writable(args.output)
     a = _read_array(args.matrix)
     y = _read_vector(args.signal)
     rule = _termination_from(args)
@@ -130,6 +138,7 @@ def _cmd_recover(args):
 # --- bench -----------------------------------------------------------------------
 
 def _cmd_bench(args):
+    _check_writable(args.csv, args.json, args.trial_log)
     n = args.n if args.n is not None else 256
     m = args.m if args.m is not None else 100
     k_text = args.k if args.k is not None else "10:5:50"
@@ -138,10 +147,6 @@ def _cmd_bench(args):
     k_values = _parse_k_values(k_text)
     configs = reference_configs(epsilon_rel=args.eps, k_max=args.kmax)
     seed = args.seed if args.seed is not None else _default_seed()
-    for path in (args.csv, args.json, args.trial_log):
-        # Refuse a path the sweep could not write before computing any trial.
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"cannot write {path}: no such directory")
     report = run_sweep(n, m, k_values, trials, configs, seed,
                        exact_tol=args.exact_tol, jobs=args.jobs,
                        trial_log=args.trial_log,
@@ -168,6 +173,7 @@ def _print_bound_checks(delta, pair):
 
 
 def _cmd_rip(args):
+    _check_writable(args.json)
     a = _read_array(args.matrix)
     if (args.k is None) != (args.l is None):
         raise ValueError("give both --k and --l or neither")
@@ -199,6 +205,7 @@ def _cmd_rip(args):
 
 
 def _cmd_bounds(args):
+    _check_writable(args.json)
     pair = lemma1_bounds(args.k, args.l)
     print(f"bound_loose: {pair.bound_loose:.12g}")
     print(f"bound_tight: {pair.bound_tight:.12g}")
@@ -289,8 +296,9 @@ def _build_parser():
                      help="relative error below which recovery counts as "
                           "exact (default 1e-2)")
     ben.add_argument("--jobs", type=int, default=1,
-                     help="worker processes; the report is identical for "
-                          "any value except wall-time means (default 1)")
+                     help="worker processes, at most one per CPU core; the "
+                          "report is identical for any value except "
+                          "wall-time means (default 1)")
     ben.add_argument("--csv", default="bench.csv",
                      help="CSV report path (default bench.csv)")
     ben.add_argument("--json", default="bench.json",

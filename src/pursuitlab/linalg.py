@@ -1,6 +1,7 @@
 """Dense column-selection linear algebra: incremental QR of a growing column subset."""
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -66,23 +67,25 @@ class _Columns:
 class IncrementalFactorization:
     """QR factorization of a growing column selection.
 
-    Tracks the selected column indices, an orthonormal basis q of their span,
-    the triangular factor r, the projections qty = q.T @ y, and the residual
-    of y against the span. One append costs O(rows * size) instead of a dense
-    re-solve.
+    Tracks the selected column indices in append order (the column order of
+    q), their support key (the same indices as a sorted tuple), an
+    orthonormal basis q of their span, the triangular factor r, the
+    projections qty = q.T @ y, and the residual of y against the span. One
+    append costs O(rows * size) instead of a dense re-solve.
 
     Instances are mutable; branch a search path by calling copy() first.
-    A copy shares its source's q/r/qty buffer and owns only its residual and
-    index lists, so it costs O(rows + size). The first factorization to
-    append to a shared buffer at slot k claims that slot and writes there;
-    written slots never change. A later append at a claimed slot keeps its
-    column pending beside the buffer, and the factorization copies its
-    columns into a private buffer only when it is copied, appended to or
-    solved. Until then column k-1 of q, r and qty belongs to whichever
-    factorization claimed it.
+    A copy shares its source's q/r/qty buffer and its immutable key, and
+    owns only its residual and index list, so it costs O(rows + size); an
+    append builds the child key with one sorted insertion. The first
+    factorization to append to a shared buffer at slot k claims that slot
+    and writes there; written slots never change. A later append at a
+    claimed slot keeps its column pending beside the buffer, and the
+    factorization copies its columns into a private buffer only when it is
+    copied, appended to or solved. Until then column k-1 of q, r and qty
+    belongs to whichever factorization claimed it.
     """
 
-    __slots__ = ("rows", "capacity", "k", "indices", "index_set", "cols",
+    __slots__ = ("rows", "capacity", "k", "indices", "key", "cols",
                  "pending", "residual", "residual_norm", "y_norm")
 
     def __init__(self, rows, capacity, y):
@@ -90,7 +93,7 @@ class IncrementalFactorization:
         self.capacity = capacity
         self.k = 0
         self.indices = []
-        self.index_set = set()
+        self.key = ()
         self.cols = _Columns(rows, capacity)
         self.pending = None     # (u, w, unorm, c) of column k-1 when unslotted
         self.residual = y.copy()
@@ -129,7 +132,7 @@ class IncrementalFactorization:
         new.capacity = self.capacity
         new.k = self.k
         new.indices = list(self.indices)
-        new.index_set = set(self.index_set)
+        new.key = self.key
         new.cols = self.cols
         new.pending = None
         new.residual = self.residual.copy()
@@ -143,7 +146,8 @@ class IncrementalFactorization:
             raise ValueError(f"row mismatch: matrix has {a.shape[0]} rows, factorization has {self.rows}")
         if not 0 <= j < a.shape[1]:
             raise ValueError(f"column index {j} out of range for {a.shape[1]} columns")
-        if j in self.index_set:
+        pos = bisect_left(self.key, j)
+        if pos < len(self.key) and self.key[pos] == j:
             raise ValueError(f"column index {j} already selected")
         if self.k >= self.capacity:
             raise ValueError(f"factorization capacity {self.capacity} exhausted")
@@ -181,7 +185,7 @@ class IncrementalFactorization:
         self.residual_norm = min(self.residual_norm,
                                  math.sqrt(float(self.residual @ self.residual)))
         self.indices.append(j)
-        self.index_set.add(j)
+        self.key = self.key[:pos] + (j,) + self.key[pos:]
         self.k = k + 1
         return self
 

@@ -32,8 +32,7 @@ __all__ = [
     "RESIDUAL_MET", "SPARSITY_MET", "PATH_BUDGET_EXHAUSTED", "ALGORITHMS",
     "DegenerateDictionaryError", "TerminationRule", "CostModel",
     "PursuitConfig", "PursuitResult", "SupportTrie", "path_cost",
-    "scatter_estimate", "run_omp", "run_mmp_bf", "run_mmp_df", "run_aomp",
-    "run",
+    "run_omp", "run_mmp_bf", "run_mmp_df", "run_aomp", "run",
 ]
 
 SPARSITY = "sparsity"
@@ -205,23 +204,8 @@ class PursuitResult:
     trace: dict | None = field(default=None, repr=False)
 
 
-def scatter_estimate(support, coefficients, n):
-    """Place coefficients at support positions in a length-n zero vector."""
-    support = [int(j) for j in support]
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    if coefficients.ndim != 1 or len(support) != coefficients.shape[0]:
-        raise ValueError("support and coefficients must have equal length")
-    if len(set(support)) != len(support):
-        raise ValueError("support indices must be distinct")
-    out = np.zeros(n, dtype=np.float64)
-    for j, c in zip(support, coefficients):
-        if not 0 <= j < n:
-            raise ValueError(f"support index {j} out of range for length {n}")
-        out[j] = c
-    return out
-
-
-def _setup(a, y, rule):
+def _setup(a, y, rule, trace):
+    """The expansion kernel, the empty root path, the length cap and the residual target."""
     a = as_matrix(a)
     y = as_vector(y)
     if a.shape[0] != y.shape[0]:
@@ -229,18 +213,7 @@ def _setup(a, y, rule):
     # Paths can never usefully outgrow the rank bound min(rows, cols).
     max_len = min(rule.max_len(), a.shape[0], a.shape[1])
     eps = rule.epsilon_rel * math.sqrt(float(y @ y))
-    return a, y, max_len, eps
-
-
-def _zero_result(n, trace):
-    tr = {"projected": [], "completed": [()]} if trace else None
-    return PursuitResult(np.zeros(n), (), 0.0, 0, 0, 1, RESIDUAL_MET, tr)
-
-
-def _finish(n, fact, iterations, explored, opened, terminated_by, tr):
-    est = scatter_estimate(fact.indices, fact.coefficients(), n)
-    return PursuitResult(est, tuple(fact.indices), fact.residual_norm,
-                         iterations, explored, opened, terminated_by, tr)
+    return _Expansion(a, trace), factor_init(a, y, capacity=max_len), max_len, eps
 
 
 def _ranked(a, fact):
@@ -250,10 +223,6 @@ def _ranked(a, fact):
         corr[fact.indices] = -1.0
     order = np.argsort(-corr, kind="stable")
     return order[: a.shape[1] - fact.k]
-
-
-def _support_key(fact):
-    return tuple(sorted(fact.index_set))
 
 
 # Child-step outcome for a support already in the registry.
@@ -283,17 +252,16 @@ class _Expansion:
         A registered support was projected before, so col is independent of
         the span and holds a branch rank; a degenerate column holds none.
         """
-        key = tuple(sorted(fact.index_set | {col}))
-        if key in self.trie:
+        if fact.key + (col,) in self.trie:
             return _DUP
         try:
             child = fact.copy().append(self.a, col)
         except DegenerateColumnError:
             return None
-        self.trie.check_insert(key)
+        self.trie.check_insert(child.key)
         self.explored += 1
         if self.projected is not None:
-            self.projected.append(key)
+            self.projected.append(child.key)
         return child
 
     def children(self, fact, width):
@@ -315,15 +283,23 @@ class _Expansion:
         return out
 
 
+def _finish(fact, iterations, expand, opened, terminated_by, completed):
+    """The result of a search that returns fact; completed lists its finished supports."""
+    est = np.zeros(expand.a.shape[1])
+    est[fact.indices] = fact.coefficients()
+    tr = (None if expand.projected is None
+          else {"projected": expand.projected, "completed": completed})
+    return PursuitResult(est, tuple(fact.indices), fact.residual_norm,
+                         iterations, expand.explored, opened, terminated_by, tr)
+
+
 def _beam(a, y, rule, branch, beam_cap, trace):
     """The level-synchronous beam behind run_mmp_bf and run_omp."""
-    a, y, max_len, eps = _setup(a, y, rule)
-    n = a.shape[1]
-    if not np.any(y):
-        return _zero_result(n, trace)
+    expand, root, max_len, eps = _setup(a, y, rule, trace)
+    if not root.residual.any():
+        return _finish(root, 0, expand, 1, RESIDUAL_MET, [root.key])
 
-    expand = _Expansion(a, trace)
-    beam = [factor_init(a, y, capacity=max_len)]
+    beam = [root]
     iterations = 0
     opened = 1
     children = []
@@ -336,11 +312,10 @@ def _beam(a, y, rule, branch, beam_cap, trace):
         iterations += 1
         met = [f for f in children if f.residual_norm < eps]
         if met:
-            best = min(met, key=lambda f: (f.residual_norm, _support_key(f)))
-            tr = {"projected": expand.projected,
-                  "completed": [_support_key(f) for f in met]} if trace else None
-            return _finish(n, best, iterations, expand.explored, opened, RESIDUAL_MET, tr)
-        children.sort(key=lambda f: (f.residual_norm, _support_key(f)))
+            best = min(met, key=lambda f: (f.residual_norm, f.key))
+            return _finish(best, iterations, expand, opened, RESIDUAL_MET,
+                           [f.key for f in met])
+        children.sort(key=lambda f: (f.residual_norm, f.key))
         beam = children[:beam_cap]
         opened = max(opened, len(beam))
 
@@ -350,10 +325,9 @@ def _beam(a, y, rule, branch, beam_cap, trace):
     # the search got stuck early and the surviving beam is all there is.
     completed = children if children else beam
     terminated = SPARSITY_MET if children else PATH_BUDGET_EXHAUSTED
-    best = min(completed, key=lambda f: (f.residual_norm, _support_key(f)))
-    tr = {"projected": expand.projected,
-          "completed": [_support_key(f) for f in completed]} if trace else None
-    return _finish(n, best, iterations, expand.explored, opened, terminated, tr)
+    best = min(completed, key=lambda f: (f.residual_norm, f.key))
+    return _finish(best, iterations, expand, opened, terminated,
+                   [f.key for f in completed])
 
 
 def run_omp(a, y, termination, trace=False):
@@ -392,13 +366,12 @@ _INVALID = object()
 class _DfNode:
     """Cached per-node state for the depth-first tree walk."""
 
-    __slots__ = ("ranked", "valid", "next", "skip")
+    __slots__ = ("ranked", "valid", "next")
 
     def __init__(self, ranked):
         self.ranked = ranked   # unselected columns by correlation rank
-        self.valid = []        # validated non-degenerate candidates, rank order
+        self.valid = []        # per branch rank its column, None for a duplicate
         self.next = 0          # next ranked entry to validate
-        self.skip = set()      # branch ranks whose subtree is a duplicate
 
 
 def run_mmp_df(a, y, config, trace=False):
@@ -413,16 +386,13 @@ def run_mmp_df(a, y, config, trace=False):
     """
     if config.algorithm != "mmp-df":
         raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'mmp-df'")
-    a, y, max_len, eps = _setup(a, y, config.termination)
-    n = a.shape[1]
-    if not np.any(y):
-        return _zero_result(n, trace)
+    expand, root, max_len, eps = _setup(a, y, config.termination, trace)
+    if not root.residual.any():
+        return _finish(root, 0, expand, 1, RESIDUAL_MET, [root.key])
 
     branch = config.branch_factor
     budget = config.max_paths
-    expand = _Expansion(a, trace)
     tree = {}
-    root = factor_init(a, y, capacity=max_len)
     state = {"paths": 0, "best": None, "found": False, "completed": []}
 
     def descend(node, c, fact):
@@ -436,21 +406,20 @@ def run_mmp_df(a, y, config, trace=False):
             child = expand.child(fact, col)
             if child is None:
                 continue  # not a candidate at all; ranks shift past it
-            node.valid.append(col)
-            if child is _DUP:
-                node.skip.add(len(node.valid) - 1)
-            elif len(node.valid) - 1 == c:
+            node.valid.append(None if child is _DUP else col)
+            if child is not _DUP and len(node.valid) - 1 == c:
                 return child
-        if c in node.skip:
+        col = node.valid[c]
+        if col is None:
             return _DUP
         # Rank already validated earlier: re-walk by re-appending.
-        return fact.copy().append(a, node.valid[c])
+        return fact.copy().append(expand.a, col)
 
     def realize(fact):
         # A path completed at this node with its branch budget exactly spent.
         state["paths"] += 1
         if trace:
-            state["completed"].append(_support_key(fact))
+            state["completed"].append(fact.key)
         best = state["best"]
         if best is None or fact.residual_norm < best.residual_norm:
             state["best"] = fact
@@ -459,17 +428,18 @@ def run_mmp_df(a, y, config, trace=False):
             return True
         return state["paths"] >= budget
 
-    def walk(key, fact, remaining):
-        # Visit every realized path below this node whose remaining branch
-        # sum is exactly `remaining`; True aborts the whole search.
-        depth = len(key)
+    def walk(choices, fact, remaining):
+        # Visit every realized path below the node at branch-choice vector
+        # `choices` whose remaining branch sum is exactly `remaining`; True
+        # aborts the whole search.
+        depth = len(choices)
         if fact.residual_norm < eps or depth == max_len:
             if remaining == 0:
                 return realize(fact)
             return False
-        node = tree.get(key)
+        node = tree.get(choices)
         if node is None:
-            node = tree[key] = _DfNode(_ranked(a, fact))
+            node = tree[choices] = _DfNode(_ranked(expand.a, fact))
         headroom = (branch - 1) * (max_len - depth - 1)
         for c in range(min(branch - 1, remaining) + 1):
             if remaining - c > headroom:
@@ -486,7 +456,7 @@ def run_mmp_df(a, y, config, trace=False):
                 break
             if st is _DUP:
                 continue
-            if walk(key + (c,), st, remaining - c):
+            if walk(choices + (c,), st, remaining - c):
                 return True
         return False
 
@@ -500,9 +470,8 @@ def run_mmp_df(a, y, config, trace=False):
         # which the stuck/degenerate handling above already covers.
         raise DegenerateDictionaryError("no candidate path could be completed")
     terminated = RESIDUAL_MET if state["found"] else PATH_BUDGET_EXHAUSTED
-    tr = ({"projected": expand.projected, "completed": state["completed"]}
-          if trace else None)
-    return _finish(n, best, len(tree), expand.explored, state["paths"], terminated, tr)
+    return _finish(best, len(tree), expand, state["paths"], terminated,
+                   state["completed"])
 
 
 def run_aomp(a, y, config, trace=False):
@@ -519,17 +488,14 @@ def run_aomp(a, y, config, trace=False):
     if config.algorithm != "aomp":
         raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'aomp'")
     rule = config.termination
-    a, y, max_len, eps = _setup(a, y, rule)
-    n = a.shape[1]
-    if not np.any(y):
-        return _zero_result(n, trace)
+    expand, root, max_len, eps = _setup(a, y, rule, trace)
+    if not root.residual.any():
+        return _finish(root, 0, expand, 1, RESIDUAL_MET, [root.key])
 
     model = config.cost_model
     if model.target_length is None:
         model = replace(model, target_length=max_len)
     cap = config.max_paths
-
-    expand = _Expansion(a, trace)
     open_list = []   # (cost, support key, factorization), ascending
     completed_keys = []
     best_any = None
@@ -549,14 +515,14 @@ def run_aomp(a, y, config, trace=False):
                         and child.k > best_any.k)):
                 best_any = child
             if trace and (child.residual_norm < eps or child.k == max_len):
-                completed_keys.append(_support_key(child))
+                completed_keys.append(child.key)
             cost = path_cost(child.residual_norm, child.k, model, parent.residual_norm)
-            insort(open_list, (cost, _support_key(child), child))
+            insort(open_list, (cost, child.key, child))
             if len(open_list) > cap:
                 open_list.pop()
         opened = max(opened, len(open_list))
 
-    push(factor_init(a, y, capacity=max_len), config.init_paths)
+    push(root, config.init_paths)
     if not open_list:
         raise DegenerateDictionaryError("every dictionary column is degenerate")
 
@@ -567,9 +533,7 @@ def run_aomp(a, y, config, trace=False):
             if best_any.residual_norm < fact.residual_norm:
                 fact = best_any
             terminated = RESIDUAL_MET if fact.residual_norm < eps else trigger
-            tr = ({"projected": expand.projected, "completed": completed_keys}
-                  if trace else None)
-            return _finish(n, fact, iterations, expand.explored, opened, terminated, tr)
+            return _finish(fact, iterations, expand, opened, terminated, completed_keys)
         if fact.k == max_len:
             continue  # residual rule: capped path that missed, a dead end
         iterations += 1
@@ -578,8 +542,7 @@ def run_aomp(a, y, config, trace=False):
     # Open set exhausted: every live path ended at the cap, a duplicate, or
     # a degenerate column. Fall back to the best support seen anywhere.
     terminated = RESIDUAL_MET if best_any.residual_norm < eps else PATH_BUDGET_EXHAUSTED
-    tr = {"projected": expand.projected, "completed": completed_keys} if trace else None
-    return _finish(n, best_any, iterations, expand.explored, opened, terminated, tr)
+    return _finish(best_any, iterations, expand, opened, terminated, completed_keys)
 
 
 def run(a, y, config, trace=False):

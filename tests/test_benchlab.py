@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pursuitlab import benchlab
 from pursuitlab.benchlab import (
     CSV_HEADER,
     SparseProblem,
@@ -213,6 +214,34 @@ def test_sweep_deterministic_and_parallel_equivalent():
     r2 = run_sweep(**kw)
     r4 = run_sweep(**kw, jobs=2)
     assert _strip_wall(r1) == _strip_wall(r2) == _strip_wall(r4)
+
+
+def test_sweep_caps_workers_at_the_core_count(monkeypatch):
+    # A pool that records its worker count and maps in this process.
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(benchlab, "ProcessPoolExecutor", SerialPool)
+    kw = dict(n=24, m=12, k_values=[2, 3], trials_per_k=3,
+              configs=_tiny_configs(), global_seed=33)
+    serial = run_sweep(**kw)
+    monkeypatch.setattr(benchlab.os, "cpu_count", lambda: 2)
+    assert _strip_wall(run_sweep(**kw, jobs=64)) == _strip_wall(serial)
+    monkeypatch.setattr(benchlab.os, "cpu_count", lambda: None)
+    assert _strip_wall(run_sweep(**kw, jobs=3)) == _strip_wall(serial)
+    assert workers == [2, 1]
 
 
 def test_sweep_validations():

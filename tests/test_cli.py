@@ -250,15 +250,26 @@ def test_rip_rejects_bad_split_before_enumerating(tmp_path, capsys,
         assert "k and l must be >= 1" in capsys.readouterr().err
 
 
-def test_bench_rejects_missing_output_dir_before_sweeping(tmp_path, capsys,
-                                                         monkeypatch):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("run_sweep ran before the output paths were checked")
+@pytest.mark.parametrize("command, work, flags", [
+    ("bench", "run_sweep", ("--csv", "--json", "--trial-log")),
+    ("recover", "run", ("--output",)),
+    ("rip", "compute_ric", ("--json",)),
+    ("bounds", "lemma1_bounds", ("--json",)),
+], ids=["bench", "recover", "rip", "bounds"])
+def test_rejects_missing_output_dir_before_work(identity_files, tmp_path, capsys,
+                                                monkeypatch, command, work, flags):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output paths were checked")
 
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(cli, work, no_work)
+    mat, sig = (str(p) for p in identity_files)
+    argv = {"bench": ["bench", "--k", "10", "--trials", "1"],
+            "recover": ["recover", mat, sig, "--alg", "omp", "--k", "1"],
+            "rip": ["rip", mat, "--s", "2"],
+            "bounds": ["bounds", "--k", "3", "--l", "2"]}[command]
     missing = str(tmp_path / "missing" / "out.txt")
-    for flag in ("--csv", "--json", "--trial-log"):
-        assert main(["bench", "--k", "10", "--trials", "1", flag, missing]) == 1
+    for flag in flags:
+        assert main(argv + [flag, missing]) == 1
         assert missing in capsys.readouterr().err
 
 

@@ -265,6 +265,7 @@ def assert_matches_replay(f, a, y, capacity):
     np.testing.assert_array_equal(qty, want.qty[:k])
     np.testing.assert_array_equal(f.residual, want.residual)
     assert f.residual_norm == want.residual_norm
+    assert f.key == tuple(sorted(f.indices))
 
 
 def test_shared_buffer_interleavings_match_fresh_replay():
@@ -290,18 +291,18 @@ def test_shared_buffer_interleavings_match_fresh_replay():
                 seen["pending_copied"] += f.pending is not None
                 live.append(f.copy())
             elif op < 0.8:
-                free = [j for j in range(a.shape[1]) if j not in f.index_set]
+                free = [j for j in range(a.shape[1]) if j not in f.key]
                 if f.k == capacity or not free:
                     continue
                 j = int(rng.choice(free))
-                cols, fill, pending, k = f.cols, f.cols.fill, f.pending, f.k
+                cols, fill, pending, k, key = f.cols, f.cols.fill, f.pending, f.k, f.key
                 residual = f.residual.copy()
                 if pending is None and fill > k:
                     seen["parent_after_claim"] += 1
                 try:
                     f.append(a, j)
                 except DegenerateColumnError:
-                    assert f.k == k and j not in f.index_set
+                    assert f.k == k and f.key == key and j not in f.key
                     np.testing.assert_array_equal(f.residual, residual)
                     # No pending column left behind, and no slot claimed.
                     assert f.pending is None

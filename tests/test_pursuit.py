@@ -22,7 +22,6 @@ from pursuitlab.pursuit import (
     run_mmp_bf,
     run_mmp_df,
     run_omp,
-    scatter_estimate,
 )
 
 from _oracles import dense_omp, replay_residual, sparse_instance
@@ -113,17 +112,6 @@ def test_config_validation():
     cfg = PursuitConfig("aomp", rule, label="aomp-k")
     assert cfg.tag == "aomp-k"
     assert PursuitConfig("omp", rule).tag == "omp"
-
-
-def test_scatter_estimate():
-    est = scatter_estimate((3, 0), [1.5, -2.0], 5)
-    np.testing.assert_array_equal(est, [-2.0, 0.0, 0.0, 1.5, 0.0])
-    with pytest.raises(ValueError):
-        scatter_estimate((0, 0), [1.0, 2.0], 4)
-    with pytest.raises(ValueError):
-        scatter_estimate((5,), [1.0], 4)
-    with pytest.raises(ValueError):
-        scatter_estimate((1,), [1.0, 2.0], 4)
 
 
 # --- SupportTrie ------------------------------------------------------------
