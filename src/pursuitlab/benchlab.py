@@ -246,6 +246,8 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
         raise ValueError("configs is empty")
     if len({cfg.tag for cfg in configs}) != len(configs):
         raise ValueError("config labels must be distinct")
+    if len(set(k_values)) != len(k_values):
+        raise ValueError("sparsity levels must be distinct")
     for k in k_values:
         if not n > m > k >= 1:
             raise ValueError(f"need n > m > k >= 1, got {n}, {m}, {k}")

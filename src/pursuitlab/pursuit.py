@@ -210,19 +210,38 @@ def _setup(a, y, rule, trace):
     y = as_vector(y)
     if a.shape[0] != y.shape[0]:
         raise ValueError(f"row mismatch: matrix has {a.shape[0]} rows, signal has {y.shape[0]}")
+    # Finite squared norms keep every correlation finite, so the ranking's
+    # argmax order is the stable descending order.
+    with np.errstate(over="ignore"):
+        yy = float(y @ y)
+        finite = math.isfinite(yy) and np.isfinite(np.einsum("ij,ij->j", a, a)).all()
+    if not finite:
+        raise ValueError("dictionary or signal overflows float64; rescale the inputs")
     # Paths can never usefully outgrow the rank bound min(rows, cols).
     max_len = min(rule.max_len(), a.shape[0], a.shape[1])
-    eps = rule.epsilon_rel * math.sqrt(float(y @ y))
+    eps = rule.epsilon_rel * math.sqrt(yy)
     return _Expansion(a, trace), factor_init(a, y, capacity=max_len), max_len, eps
 
 
 def _ranked(a, fact):
-    """Unselected columns by descending |correlation|, ties to the lowest index."""
+    """Unselected columns by descending |correlation|, ties to the lowest index.
+
+    Lazy and exact: the correlations are computed once, and each column
+    pulled from the returned iterator costs one argmax. argmax returns the
+    first maximum, so every prefix equals that of a full stable sort. The
+    iterator holds only the correlations, not fact.
+    """
     corr = np.abs(a.T @ fact.residual)
     if fact.indices:
         corr[fact.indices] = -1.0
-    order = np.argsort(-corr, kind="stable")
-    return order[: a.shape[1] - fact.k]
+    return _by_rank(corr, a.shape[1] - fact.k)
+
+
+def _by_rank(corr, left):
+    for _ in range(left):
+        j = int(corr.argmax())
+        corr[j] = -1.0
+        yield j
 
 
 # Child-step outcome for a support already in the registry.
@@ -272,14 +291,14 @@ class _Expansion:
         out = []
         slots = 0
         for j in _ranked(self.a, fact):
-            if slots == width:
-                break
-            child = self.child(fact, int(j))
+            child = self.child(fact, j)
             if child is None:
                 continue
-            slots += 1
             if child is not _DUP:
                 out.append(child)
+            slots += 1
+            if slots == width:
+                break
         return out
 
 
@@ -366,12 +385,11 @@ _INVALID = object()
 class _DfNode:
     """Cached per-node state for the depth-first tree walk."""
 
-    __slots__ = ("ranked", "valid", "next")
+    __slots__ = ("ranked", "valid")
 
     def __init__(self, ranked):
-        self.ranked = ranked   # unselected columns by correlation rank
+        self.ranked = ranked   # lazy iterator over the unselected columns by rank
         self.valid = []        # per branch rank its column, None for a duplicate
-        self.next = 0          # next ranked entry to validate
 
 
 def run_mmp_df(a, y, config, trace=False):
@@ -399,10 +417,9 @@ def run_mmp_df(a, y, config, trace=False):
         # Resolve branch rank c at this node; returns the child factorization,
         # _DUP for a dead duplicate subtree, or _INVALID if no such candidate.
         while len(node.valid) <= c:
-            if node.next >= len(node.ranked):
+            col = next(node.ranked, None)
+            if col is None:
                 return _INVALID
-            col = int(node.ranked[node.next])
-            node.next += 1
             child = expand.child(fact, col)
             if child is None:
                 continue  # not a candidate at all; ranks shift past it

@@ -33,6 +33,15 @@ def dense_omp(a, y, k, eps_rel=1e-6):
     return support, resid
 
 
+def ranked_reference(a, residual, selected):
+    """Unselected columns by a full stable sort of descending |correlation|."""
+    corr = np.abs(a.T @ residual)
+    if selected:
+        corr[list(selected)] = -1.0
+    order = np.argsort(-corr, kind="stable")
+    return order[: a.shape[1] - len(selected)].tolist()
+
+
 def branch_vectors(branch, depth):
     """All branch-choice vectors in nondecreasing-sum order, lexicographic ties."""
     vecs = itertools.product(range(branch), repeat=depth)
@@ -54,10 +63,7 @@ def mmp_df_paths(a, y, branch, depth, eps_rel=1e-6):
         for c in vec:
             if np.linalg.norm(resid) < eps_rel * ynorm:
                 break
-            corr = np.abs(a.T @ resid)
-            if support:
-                corr[support] = -1.0
-            order = np.argsort(-corr, kind="stable")[: a.shape[1] - len(support)]
+            order = ranked_reference(a, resid, support)
             if c >= len(order):
                 ok = False
                 break

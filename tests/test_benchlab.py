@@ -256,6 +256,8 @@ def test_sweep_validations():
         run_sweep(24, 12, [3], 0, cfgs, 1)
     with pytest.raises(ValueError):
         run_sweep(24, 12, [3], 2, [cfgs[0], cfgs[0]], 1)  # duplicate labels
+    with pytest.raises(ValueError):
+        run_sweep(24, 12, [3, 3], 2, cfgs, 1)  # repeated sparsity level
     for jobs in (0, -1):
         with pytest.raises(ValueError):
             run_sweep(24, 12, [3], 2, cfgs, 1, jobs=jobs)

@@ -111,6 +111,20 @@ def test_recover_degenerate_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_recover_refuses_overflowing_dictionary(tmp_path, capsys):
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((20, 40))
+    a[:, [5, 9]] *= 1e200
+    mat, sig, out = tmp_path / "a.txt", tmp_path / "y.txt", tmp_path / "x.txt"
+    _write_array(mat, a)
+    _write_array(sig, rng.standard_normal((20, 1)))
+    code = main(["recover", str(mat), str(sig), "--alg", "omp", "--k", "3",
+                 "--output", str(out)])
+    assert code == 1
+    assert "overflows float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- bench -------------------------------------------------------------------------
 
 def _bench_args(tmp_path, tag, extra):

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pursuitlab.linalg import DegenerateColumnError, factor_init
 from pursuitlab.pursuit import _ranked
+
+from _oracles import ranked_reference
 
 
 def correlate_oracle(a, r):
@@ -37,9 +41,9 @@ def test_correlate_identity_example():
     a = np.eye(3)
     r = np.array([3.0, -4.0, 0.0])
     f = factor_init(a, r)
-    assert _ranked(a, f).tolist() == [1, 0, 2]
+    assert list(_ranked(a, f)) == [1, 0, 2]
     f.append(a, 1)
-    assert _ranked(a, f).tolist() == [0, 2]
+    assert list(_ranked(a, f)) == [0, 2]
 
 
 def test_correlate_matches_double_loop_oracle():
@@ -47,11 +51,62 @@ def test_correlate_matches_double_loop_oracle():
     for _ in range(25):
         a, y = random_instance(rng, int(rng.integers(2, 12)), int(rng.integers(2, 20)))
         a = np.asfortranarray(a)
-        order = _ranked(a, factor_init(a, y))
-        assert sorted(order.tolist()) == list(range(a.shape[1]))
+        order = list(_ranked(a, factor_init(a, y)))
+        assert sorted(order) == list(range(a.shape[1]))
         # Oracle correlations along the ranking never increase.
         corr = correlate_oracle(a, y)[order]
         assert np.all(np.diff(corr) <= 1e-12)
+
+
+def _ranking_cases():
+    rng = np.random.default_rng(17)
+    eye = np.eye(8)
+    yield "orthonormal ties", eye, np.ones(8), []
+    yield "signed orthonormal ties", eye[:, ::-1] * np.repeat([1.0, -1.0], 4), np.ones(8), [3]
+    dup = rng.standard_normal((10, 16))
+    dup[:, [5, 9]] = dup[:, [2, 2]]
+    dup[:, 12] = -dup[:, 2]
+    yield "duplicated columns", dup, rng.standard_normal(10), []
+    yield "duplicated columns, one selected", dup, rng.standard_normal(10), [9, 0]
+    gauss = rng.standard_normal((12, 30))
+    yield "selected columns", gauss, rng.standard_normal(12), [4, 17, 29, 0]
+    zero = rng.standard_normal((6, 9))
+    zero[:, [0, 4]] = 0.0
+    yield "zero columns", zero, rng.standard_normal(6), [2]
+    low = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 14))
+    yield "rank-deficient, span exhausted", low, rng.standard_normal(20), [1, 6, 8]
+
+
+def test_ranking_equals_full_stable_sort():
+    # The lazy ranking is exact to the last column, ties to the lowest index.
+    for name, a, y, selected in _ranking_cases():
+        a = np.asfortranarray(a)
+        f = factor_init(a, y)
+        for j in selected:
+            f.append(a, j)
+        got = list(_ranked(a, f))
+        assert got == ranked_reference(a, f.residual, f.indices), name
+        assert len(got) == a.shape[1] - len(selected), name
+
+
+def test_ranking_does_not_keep_its_factor_alive():
+    rng = np.random.default_rng(23)
+    a = np.asfortranarray(rng.standard_normal((400, 240)))
+    tracemalloc.start()
+    try:
+        f = factor_init(a, rng.standard_normal(400))
+        f.append(a, 3)
+        expected = ranked_reference(a, f.residual, f.indices)
+        ranking = _ranked(a, f)
+        first = next(ranking)
+        buffer = f.q.nbytes + f.r.nbytes
+        live = tracemalloc.get_traced_memory()[0]
+        del f
+        freed = live - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed >= buffer, (freed, buffer)
+    assert [first, *ranking] == expected
 
 
 def test_factor_init_is_empty():

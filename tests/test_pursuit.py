@@ -231,6 +231,27 @@ def test_omp_skips_degenerate_column(algorithm):
         assert res.explored_nodes == len(res.trace["projected"])
 
 
+def _overflowing(part):
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((20, 40))
+    y = rng.standard_normal(20)
+    if part == "dictionary":
+        a[:, [5, 9]] *= 1e200
+    else:
+        y *= 1e160
+    return a, y
+
+
+@pytest.mark.parametrize("part", ["dictionary", "signal"])
+@pytest.mark.parametrize("algorithm", ["omp", "mmp-bf", "mmp-df", "aomp"])
+def test_overflowing_inputs_are_refused(algorithm, part):
+    # Squared norms past float64 would make every residual inf and the
+    # correlations unorderable; the search refuses instead of answering.
+    a, y = _overflowing(part)
+    with pytest.raises(ValueError, match="overflows float64"):
+        _search(algorithm, a, y, TerminationRule.sparsity(3))
+
+
 # --- MMP breadth-first -------------------------------------------------------
 
 def _bf_config(rule, **kw):
