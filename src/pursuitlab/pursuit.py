@@ -229,7 +229,8 @@ def _ranked(a, fact):
     Lazy and exact: the correlations are computed once, and each column
     pulled from the returned iterator costs one argmax. argmax returns the
     first maximum, so every prefix equals that of a full stable sort. The
-    iterator holds only the correlations, not fact.
+    iterator holds only the correlations, not fact, so a search node that
+    keeps it does not keep fact's buffer alive.
     """
     corr = np.abs(a.T @ fact.residual)
     if fact.indices:
