@@ -77,9 +77,13 @@ def _write_vector(path, vec):
 
 
 def _check_writable(*paths):
-    """Refuse an output path in a missing directory before any work starts."""
+    """Refuse an output path that is a directory or in a missing one before any work starts."""
     for path in paths:
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"cannot write {path}: no such directory")
 
 

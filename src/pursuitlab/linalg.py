@@ -86,7 +86,7 @@ class IncrementalFactorization:
     """
 
     __slots__ = ("rows", "capacity", "k", "indices", "key", "cols",
-                 "pending", "residual", "residual_norm", "y_norm")
+                 "pending", "residual", "residual_norm")
 
     def __init__(self, rows, capacity, y):
         self.rows = rows
@@ -97,8 +97,7 @@ class IncrementalFactorization:
         self.cols = _Columns(rows, capacity)
         self.pending = None     # (u, w, unorm, c) of column k-1 when unslotted
         self.residual = y.copy()
-        self.y_norm = math.sqrt(float(y @ y))
-        self.residual_norm = self.y_norm
+        self.residual_norm = math.sqrt(float(y @ y))
 
     @property
     def q(self):
@@ -137,7 +136,6 @@ class IncrementalFactorization:
         new.pending = None
         new.residual = self.residual.copy()
         new.residual_norm = self.residual_norm
-        new.y_norm = self.y_norm
         return new
 
     def append(self, a, j):

@@ -3,7 +3,9 @@
 All four searches grow candidate supports column by column over a shared
 incremental QR core. They share one child-expansion step and differ only
 in how they schedule partial paths; OMP is the breadth-first beam with one
-branch and one surviving path. run() maps a config to its search. Every
+branch and one surviving path. In that step, _Expansion.child is the only
+projection of a new support and _Expansion.rank the only way a search turns
+a branch rank into a child. run() maps a config to its search. Every
 search reports the same counters:
 
 - iterations: rounds in which the search ranked a path's candidate columns
@@ -16,7 +18,7 @@ search reports the same counters:
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,40 +106,34 @@ class CostModel:
     a step that cuts the residual sharply earns a deep discount over the
     remaining horizon and keeps its lineage in front, while a stalled step
     falls back to the plain alpha discount and lets the rest of the open
-    set compete. target_length=None defers the horizon to the termination
-    rule at run time.
+    set compete. The search supplies the horizon, its path length cap.
     """
 
     kind: str = MULTIPLICATIVE
     alpha: float = 0.8
-    target_length: int | None = None
 
     def __post_init__(self):
         if self.kind not in (MULTIPLICATIVE, ADAPTIVE_MULTIPLICATIVE):
             raise ValueError(f"unknown cost model kind {self.kind!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.target_length is not None and self.target_length < 1:
-            raise ValueError("target_length must be >= 1")
 
 
-def path_cost(residual_norm, path_len, model, prev_residual_norm=None):
-    """Cost of a partial path under model; lower is expanded first.
+def path_cost(residual_norm, path_len, target_length, model, prev_residual_norm=None):
+    """Cost under model of a partial path toward target_length; lower is expanded first.
 
     The adaptive-multiplicative kind needs prev_residual_norm, the parent
     path's residual norm before the latest column was appended.
     """
-    if model.target_length is None:
-        raise ValueError("cost model target_length is unresolved")
-    if path_len > model.target_length:
-        raise ValueError(f"path length {path_len} exceeds target {model.target_length}")
+    if path_len > target_length:
+        raise ValueError(f"path length {path_len} exceeds target {target_length}")
     base = model.alpha
     if model.kind == ADAPTIVE_MULTIPLICATIVE:
         if prev_residual_norm is None:
             raise ValueError("adaptive-multiplicative cost needs prev_residual_norm")
         if prev_residual_norm > 0.0:
             base = min(1.0, model.alpha * residual_norm / prev_residual_norm)
-    return residual_norm * base ** (model.target_length - path_len)
+    return residual_norm * base ** (target_length - path_len)
 
 
 class SupportTrie:
@@ -249,13 +245,28 @@ def _by_rank(corr, left):
 _DUP = object()
 
 
+class _Ranks:
+    """One path's branch ranks: its lazy ranking and the columns resolved so far.
+
+    cols[c] is the column at branch rank c, None for a duplicate. It holds
+    no factor, so a search tree of these keeps no factor buffer alive.
+    """
+
+    __slots__ = ("ranked", "cols")
+
+    def __init__(self, a, fact):
+        self.ranked = _ranked(a, fact)
+        self.cols = []
+
+
 class _Expansion:
     """The child step shared by every search.
 
     Holds the search's support registry, its explored-node count and, when
-    tracing, the log of projected supports. Every projection of a new
-    support goes through child(); the searches differ only in which
-    candidates they ask for and how they schedule the children.
+    tracing, the log of projected supports. child() is the only projection
+    of a new support, and rank() the only way a search turns a branch rank
+    into a child; the searches differ only in which ranks they ask for and
+    how they schedule the children.
     """
 
     __slots__ = ("a", "trie", "explored", "projected")
@@ -284,22 +295,38 @@ class _Expansion:
             self.projected.append(child.key)
         return child
 
-    def children(self, fact, width):
-        """New children among the width best-ranked usable columns of fact.
+    def rank(self, ranks, fact, c):
+        """Child of fact at branch rank c: a factor, _DUP, or None past the last rank.
 
-        A duplicate takes one of the width slots without a projection.
+        Ranks resolve in order, so resolving rank c projects every
+        unresolved rank below it too. A degenerate column holds no rank and
+        later ranks shift past it; a duplicate holds one without a
+        projection. A rank resolved earlier is rebuilt by an uncounted
+        append, which reproduces the first child bit for bit.
         """
-        out = []
-        slots = 0
-        for j in _ranked(self.a, fact):
-            child = self.child(fact, j)
+        cols = ranks.cols
+        if c < len(cols):
+            col = cols[c]
+            return _DUP if col is None else fact.copy().append(self.a, col)
+        for col in ranks.ranked:
+            child = self.child(fact, col)
             if child is None:
                 continue
+            cols.append(None if child is _DUP else col)
+            if len(cols) > c:
+                return child
+        return None
+
+    def children(self, fact, width):
+        """New children of fact at branch ranks 0..width-1; duplicates are left out."""
+        ranks = _Ranks(self.a, fact)
+        out = []
+        for c in range(width):
+            child = self.rank(ranks, fact, c)
+            if child is None:
+                break
             if child is not _DUP:
                 out.append(child)
-            slots += 1
-            if slots == width:
-                break
         return out
 
 
@@ -379,20 +406,6 @@ def run_mmp_bf(a, y, config, trace=False):
                  min(config.beam_width, config.max_paths), trace)
 
 
-# Outcome of _descend when the branch rank does not exist.
-_INVALID = object()
-
-
-class _DfNode:
-    """Cached per-node state for the depth-first tree walk."""
-
-    __slots__ = ("ranked", "valid")
-
-    def __init__(self, ranked):
-        self.ranked = ranked   # lazy iterator over the unselected columns by rank
-        self.valid = []        # per branch rank its column, None for a duplicate
-
-
 def run_mmp_df(a, y, config, trace=False):
     """Depth-first multipath pursuit over branch-choice vectors.
 
@@ -401,7 +414,9 @@ def run_mmp_df(a, y, config, trace=False):
     ties, the all-zero (pure greedy) path first. Each path is grown to
     termination; supports already seen in the trie are skipped without
     consuming the max_paths budget, and the smallest-residual completed
-    path wins unless one meets the residual criterion outright.
+    path wins unless one meets the residual criterion outright. The
+    registry gives every walked node its own support, so the tree is keyed
+    by support rather than by choice vector.
     """
     if config.algorithm != "mmp-df":
         raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'mmp-df'")
@@ -411,59 +426,42 @@ def run_mmp_df(a, y, config, trace=False):
 
     branch = config.branch_factor
     budget = config.max_paths
-    tree = {}
-    state = {"paths": 0, "best": None, "found": False, "completed": []}
-
-    def descend(node, c, fact):
-        # Resolve branch rank c at this node; returns the child factorization,
-        # _DUP for a dead duplicate subtree, or _INVALID if no such candidate.
-        while len(node.valid) <= c:
-            col = next(node.ranked, None)
-            if col is None:
-                return _INVALID
-            child = expand.child(fact, col)
-            if child is None:
-                continue  # not a candidate at all; ranks shift past it
-            node.valid.append(None if child is _DUP else col)
-            if child is not _DUP and len(node.valid) - 1 == c:
-                return child
-        col = node.valid[c]
-        if col is None:
-            return _DUP
-        # Rank already validated earlier: re-walk by re-appending.
-        return fact.copy().append(expand.a, col)
+    tree = {}        # support key -> _Ranks of that node
+    completed = []
+    best = None
+    paths = 0
+    found = False
 
     def realize(fact):
         # A path completed at this node with its branch budget exactly spent.
-        state["paths"] += 1
+        nonlocal best, paths, found
+        paths += 1
         if trace:
-            state["completed"].append(fact.key)
-        best = state["best"]
+            completed.append(fact.key)
         if best is None or fact.residual_norm < best.residual_norm:
-            state["best"] = fact
+            best = fact
         if fact.residual_norm < eps:
-            state["found"] = True
+            found = True
             return True
-        return state["paths"] >= budget
+        return paths >= budget
 
-    def walk(choices, fact, remaining):
-        # Visit every realized path below the node at branch-choice vector
-        # `choices` whose remaining branch sum is exactly `remaining`; True
-        # aborts the whole search.
-        depth = len(choices)
+    def walk(fact, remaining):
+        # Visit every realized path below fact whose remaining branch sum is
+        # exactly `remaining`; True aborts the whole search.
+        depth = fact.k
         if fact.residual_norm < eps or depth == max_len:
             if remaining == 0:
                 return realize(fact)
             return False
-        node = tree.get(choices)
-        if node is None:
-            node = tree[choices] = _DfNode(_ranked(expand.a, fact))
+        ranks = tree.get(fact.key)
+        if ranks is None:
+            ranks = tree[fact.key] = _Ranks(expand.a, fact)
+        # Ranks below remaining - headroom leave more branch sum than the
+        # levels below this one can spend.
         headroom = (branch - 1) * (max_len - depth - 1)
-        for c in range(min(branch - 1, remaining) + 1):
-            if remaining - c > headroom:
-                continue
-            st = descend(node, c, fact)
-            if st is _INVALID:
+        for c in range(max(0, remaining - headroom), min(branch - 1, remaining) + 1):
+            child = expand.rank(ranks, fact, c)
+            if child is None:
                 if c == 0:
                     # No candidate at all: the path is stuck here.
                     if depth == 0:
@@ -472,24 +470,20 @@ def run_mmp_df(a, y, config, trace=False):
                     if remaining == 0:
                         return realize(fact)
                 break
-            if st is _DUP:
-                continue
-            if walk(choices + (c,), st, remaining - c):
+            if child is not _DUP and walk(child, remaining - c):
                 return True
         return False
 
     for total in range((branch - 1) * max_len + 1):
-        if walk((), root, total):
+        if walk(root, total):
             break
 
-    best = state["best"]
     if best is None:
         # Only reachable if the all-zero path could not spend any budget,
         # which the stuck/degenerate handling above already covers.
         raise DegenerateDictionaryError("no candidate path could be completed")
-    terminated = RESIDUAL_MET if state["found"] else PATH_BUDGET_EXHAUSTED
-    return _finish(best, len(tree), expand, state["paths"], terminated,
-                   state["completed"])
+    terminated = RESIDUAL_MET if found else PATH_BUDGET_EXHAUSTED
+    return _finish(best, len(tree), expand, paths, terminated, completed)
 
 
 def run_aomp(a, y, config, trace=False):
@@ -511,8 +505,6 @@ def run_aomp(a, y, config, trace=False):
         return _finish(root, 0, expand, 1, RESIDUAL_MET, [root.key])
 
     model = config.cost_model
-    if model.target_length is None:
-        model = replace(model, target_length=max_len)
     cap = config.max_paths
     open_list = []   # (cost, support key, factorization), ascending
     completed_keys = []
@@ -534,7 +526,8 @@ def run_aomp(a, y, config, trace=False):
                 best_any = child
             if trace and (child.residual_norm < eps or child.k == max_len):
                 completed_keys.append(child.key)
-            cost = path_cost(child.residual_norm, child.k, model, parent.residual_norm)
+            cost = path_cost(child.residual_norm, child.k, max_len, model,
+                             parent.residual_norm)
             insort(open_list, (cost, child.key, child))
             if len(open_list) > cap:
                 open_list.pop()

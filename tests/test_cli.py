@@ -282,9 +282,10 @@ def test_rejects_missing_output_dir_before_work(identity_files, tmp_path, capsys
             "rip": ["rip", mat, "--s", "2"],
             "bounds": ["bounds", "--k", "3", "--l", "2"]}[command]
     missing = str(tmp_path / "missing" / "out.txt")
-    for flag in flags:
-        assert main(argv + [flag, missing]) == 1
-        assert missing in capsys.readouterr().err
+    for bad in (missing, str(tmp_path)):
+        for flag in flags:
+            assert main(argv + [flag, bad]) == 1
+            assert f"cannot write {bad}" in capsys.readouterr().err
 
 
 def test_bounds_spot_values(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -23,26 +24,25 @@ from pursuitlab.pursuit import (
     run_mmp_df,
     run_omp,
 )
+from pursuitlab.pursuit import _DUP, _Ranks, _setup
 
 from _oracles import dense_omp, replay_residual, sparse_instance
 
 
 def test_path_cost_example():
-    model = CostModel(alpha=0.8, target_length=10)
-    assert path_cost(1.0, 8, model) == pytest.approx(0.64, abs=1e-15)
+    model = CostModel(alpha=0.8)
+    assert path_cost(1.0, 8, 10, model) == pytest.approx(0.64, abs=1e-15)
 
 
 def test_path_cost_alpha_one_is_residual():
-    model = CostModel(alpha=1.0, target_length=30)
+    model = CostModel(alpha=1.0)
     for r in (0.0, 0.5, 2.5):
-        assert path_cost(r, 3, model) == r
+        assert path_cost(r, 3, 30, model) == r
 
 
 def test_path_cost_validation():
     with pytest.raises(ValueError):
-        path_cost(1.0, 3, CostModel(alpha=0.8))  # unresolved target
-    with pytest.raises(ValueError):
-        path_cost(1.0, 11, CostModel(alpha=0.8, target_length=10))
+        path_cost(1.0, 11, 10, CostModel(alpha=0.8))
     with pytest.raises(ValueError):
         CostModel(alpha=0.0)
     with pytest.raises(ValueError):
@@ -54,36 +54,36 @@ def test_path_cost_validation():
 def test_path_cost_adaptive_progress_discount():
     # One step cut the residual in half: base = min(1, 0.97 * 0.5) = 0.485,
     # and four levels remain to the target of five.
-    model = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.97, target_length=5)
-    got = path_cost(0.5, 1, model, prev_residual_norm=1.0)
+    model = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.97)
+    got = path_cost(0.5, 1, 5, model, prev_residual_norm=1.0)
     assert got == pytest.approx(0.5 * 0.485**4, abs=1e-15)
 
 
 def test_path_cost_adaptive_stall_matches_fixed():
     # A step that leaves the residual unchanged falls back to plain alpha decay.
-    adaptive = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.9, target_length=8)
-    fixed = CostModel(kind=MULTIPLICATIVE, alpha=0.9, target_length=8)
-    assert path_cost(0.37, 3, adaptive, prev_residual_norm=0.37) \
-        == path_cost(0.37, 3, fixed)
+    adaptive = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.9)
+    fixed = CostModel(kind=MULTIPLICATIVE, alpha=0.9)
+    assert path_cost(0.37, 3, 8, adaptive, prev_residual_norm=0.37) \
+        == path_cost(0.37, 3, 8, fixed)
 
 
 def test_path_cost_adaptive_decay_clamped():
     # The per-step decay never exceeds one, so a (numerically) grown residual
     # cannot make a path look cheaper the further it sits from the target.
-    model = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.9, target_length=10)
-    assert path_cost(1.2, 2, model, prev_residual_norm=1.0) == 1.2
+    model = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.9)
+    assert path_cost(1.2, 2, 10, model, prev_residual_norm=1.0) == 1.2
 
 
 def test_path_cost_adaptive_needs_prev():
-    model = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.9, target_length=10)
+    model = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.9)
     with pytest.raises(ValueError):
-        path_cost(0.5, 1, model)
+        path_cost(0.5, 1, 10, model)
 
 
 def test_path_cost_adaptive_zero_prev():
     # No usable ratio from an exhausted parent residual: decay stays at alpha.
-    model = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.5, target_length=4)
-    assert path_cost(0.0, 2, model, prev_residual_norm=0.0) == 0.0
+    model = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.5)
+    assert path_cost(0.0, 2, 4, model, prev_residual_norm=0.0) == 0.0
 
 
 def test_termination_rule_validation():
@@ -612,3 +612,111 @@ def test_mmp_df_memory_stays_near_omp():
     omp = peak(lambda: run_omp(prob.dictionary, y, rule))
     mmp_df = peak(lambda: run_mmp_df(prob.dictionary, y, config))
     assert mmp_df <= 4 * omp, (mmp_df, omp)
+
+
+# --- the expansion kernel's rank resolver -------------------------------------
+
+def _below_dup():
+    # Columns: 0 = e0, 1 = zero, 2 = a copy of column 0, 3 = e1, 4 = e2, 5 = e3.
+    # The root ranks 0, 2, 3, 4, then the zero-correlation ties 1, 5. Returns
+    # the path {0} with {0, 3} already registered from {3}.
+    a = np.zeros((4, 6))
+    a[0, 0] = a[0, 2] = a[1, 3] = a[2, 4] = a[3, 5] = 1.0
+    y = np.array([3.0, 2.0, 1.0, 0.0])
+    expand, root, _, _ = _setup(a, y, TerminationRule.sparsity(3), trace=True)
+    ranks = _Ranks(a, root)
+    kids = [expand.rank(ranks, root, c) for c in range(6)]
+    # The zero column holds no rank: column 5 moves up to rank 4, and there
+    # is no rank 5.
+    assert [f.key for f in kids[:5]] == [(0,), (2,), (3,), (4,), (5,)]
+    assert kids[5] is None and ranks.cols == [0, 2, 3, 4, 5]
+    assert expand.rank(_Ranks(a, kids[2]), kids[2], 0).key == (0, 3)
+    return a, expand, kids[0]
+
+
+def test_expansion_rank_resolution():
+    a, expand, f0 = _below_dup()
+    explored, projected = expand.explored, list(expand.projected)
+    ranks = _Ranks(a, f0)
+    first = [expand.rank(ranks, f0, c) for c in range(4)]
+    # The duplicate holds rank 0 without a projection; the zero column and
+    # the copy of column 0 hold no rank, so column 5 takes rank 2.
+    assert first[0] is _DUP and first[3] is None
+    assert [f.key for f in first[1:3]] == [(0, 4), (0, 5)]
+    assert ranks.cols == [None, 4, 5]
+    assert expand.explored == explored + 2
+    assert expand.projected == projected + [(0, 4), (0, 5)]
+
+    # A rank resolved earlier is rebuilt, identical and uncounted.
+    seen = set(expand.trie._seen)
+    again = [expand.rank(ranks, f0, c) for c in range(4)]
+    assert again[0] is _DUP and again[3] is None
+    for old, new in zip(first[1:3], again[1:3]):
+        assert new is not old and new.key == old.key
+        assert new.residual.tobytes() == old.residual.tobytes()
+        assert new.coefficients().tobytes() == old.coefficients().tobytes()
+    assert expand.explored == explored + 2 and expand.trie._seen == seen
+
+    # children(fact, w) is rank over c < w, duplicates left out.
+    for width in range(1, 5):
+        a, expand, f0 = _below_dup()
+        got = [f.key for f in expand.children(f0, width)]
+        assert got == [f.key for f in first[:width] if f is not None and f is not _DUP]
+        assert expand.explored == explored + min(width - 1, 2)
+
+
+# --- decision fingerprint ----------------------------------------------------
+
+def _fingerprint_cases():
+    rng = np.random.default_rng(41)
+    for k in range(4, 9):
+        prob = gen_problem(60, 30, k, 100 + k)
+        y = prob.observation
+        yield f"gauss-{k}", prob.dictionary, y, k
+        if k % 2 == 0:
+            noise = rng.standard_normal(30) * 0.05 * np.linalg.norm(y) / math.sqrt(30)
+            yield f"noisy-{k}", prob.dictionary, y + noise, k
+    low_rank = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 20))
+    yield "rank-3", low_rank, low_rank[:, [1, 7, 13]] @ [1.0, -2.0, 0.5], 4
+    a = rng.standard_normal((12, 20))
+    a[:, 4] = 0.0
+    a[:, 9] = a[:, 2]
+    a[:, 15] = -3.0 * a[:, 6]
+    yield "zero-dup", a, a[:, [2, 6, 11]] @ [1.5, 1.0, -1.0] + 0.01 * a[:, 0], 4
+
+
+def _fingerprint_configs(k):
+    for rule in (TerminationRule.sparsity(k),
+                 TerminationRule.residual(1e-6, k_max=2 * k)):
+        yield PursuitConfig("omp", rule)
+        yield PursuitConfig("mmp-bf", rule, branch_factor=3, beam_width=4)
+        for branch in (1, 3, 6):
+            yield PursuitConfig("mmp-df", rule, branch_factor=branch,
+                                max_paths=25)
+        yield PursuitConfig("aomp", rule, max_paths=40)
+        yield PursuitConfig("aomp", rule, max_paths=40,
+                            cost_model=CostModel(kind=ADAPTIVE_MULTIPLICATIVE,
+                                                 alpha=0.97))
+
+
+# SHA-256 of every search decision below. A change that means to alter a
+# decision updates it and says which decisions moved and why.
+DECISIONS_SHA256 = "ec3eab6f4de9f2429b18f149e37c5587ed196ec9acff4d1830c3df65895470e1"
+
+
+def test_search_decisions_fingerprint():
+    # Pins every support, counter, termination and traced support list of
+    # all four searches on a small fixed case set. Float bits stay out, so
+    # BLAS rounding cannot move it; a refactor that changes any search
+    # decision does.
+    h = hashlib.sha256()
+    for name, a, y, k in _fingerprint_cases():
+        for config in _fingerprint_configs(k):
+            res = run(a, y, config, trace=True)
+            record = (name, config.algorithm, config.branch_factor,
+                      config.cost_model.kind, config.termination.kind,
+                      tuple(int(j) for j in res.support), res.iterations,
+                      res.explored_nodes, res.paths_opened, res.terminated_by,
+                      res.trace["projected"], res.trace["completed"])
+            h.update(repr(record).encode())
+    assert h.hexdigest() == DECISIONS_SHA256
