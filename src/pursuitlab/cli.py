@@ -77,7 +77,7 @@ def _write_vector(path, vec):
 
 
 def _check_writable(*paths):
-    """Refuse an output path that is a directory or in a missing one before any work starts."""
+    """Refuse an output path that is a directory or lies in a missing one, before any work."""
     for path in paths:
         if path is None:
             continue
