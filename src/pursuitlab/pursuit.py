@@ -157,7 +157,9 @@ class SupportTrie:
         key = tuple(sorted(support))
         if key in self._seen:
             return False
-        self._seen.add(key)
+        # Keep the caller's tuple when it is already the sorted key, so a
+        # support the search also holds is stored once.
+        self._seen.add(support if support == key else key)
         return True
 
 

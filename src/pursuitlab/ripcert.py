@@ -4,11 +4,14 @@ The restricted isometry constant delta_S of a dictionary is the smallest
 delta satisfying (1 - delta)||v||^2 <= ||A_T v||^2 <= (1 + delta)||v||^2
 over every column subset T of size S. Exact computation must visit all
 binomial(N, S) subsets, so compute_ric refuses anything past a hard subset
-cap instead of silently falling back to sampling. It certifies the subsets
-exactly in bounded chunks, one batched eigensolve per chunk, and reports
-the first extremal subset in combinations order. The lemma1_bounds pair
-gives the two sufficient recovery thresholds for branch-L tree search of a
-K-sparse signal; the looser one strictly dominates the tighter one.
+cap instead of silently falling back to sampling. It certifies every subset
+exactly in bounded chunks and reports the first extremal subset in
+combinations order. A cheap upper bound on each subset's deviation comes
+first, and the batched eigensolve runs only on the subsets whose bound
+could still beat the running best; a skipped subset provably cannot win,
+so the certificate is the one a full enumeration gives. The lemma1_bounds
+pair gives the two sufficient recovery thresholds for branch-L tree search
+of a K-sparse signal; the looser one strictly dominates the tighter one.
 """
 
 from __future__ import annotations
@@ -39,6 +42,15 @@ DEFAULT_SUBSET_CAP = 2_000_000
 # s=6). Subsets per chunk shrink as s grows, so memory stays flat for any
 # subset count. Four times the budget ran no faster and held more memory.
 _CHUNK_ENTRIES = 8_192
+
+# Relative margin under the running best below which a subset's bound skips
+# its eigensolve: skip iff bound < best - _SKIP_MARGIN * (1 + |best|). Every
+# subset that could be skipped has ||G_T|| <= 1 + best, so eigvalsh's error
+# and the bound's own rounding (the product, the sum of squares, the roots)
+# stay within a few hundred eps * (1 + |best|), about 1e-13 relative; the
+# margin is four orders above that, so no subset whose computed deviation
+# could reach best is ever skipped.
+_SKIP_MARGIN = 1e-9
 
 
 class EnumerationCapError(ValueError):
@@ -98,8 +110,12 @@ def compute_ric(a, s, subset_cap=DEFAULT_SUBSET_CAP):
     Walks every size-s column subset, takes the extremal eigenvalues of the
     subset Gram matrix, and returns the worst deviation from isometry along
     with a subset attaining it. Subsets are taken in combinations order in
-    bounded chunks, each certified exactly by one stacked eigvalsh call; on
-    a tie the first subset in that order wins. Raises EnumerationCapError
+    bounded chunks. With E = G_T - I, each subset's deviation is
+    ||E||_2 <= ||E^2||_F^(1/2), the Schatten-4 norm of E; one stacked
+    eigvalsh call per chunk certifies exactly the subsets whose bound is not
+    below the running best minus a rounding margin, and the rest, which
+    cannot win, skip it. On a tie the first subset in combinations order
+    wins, as in a full enumeration. Raises EnumerationCapError
     when the subset count exceeds subset_cap, before any work; there is no
     sampling fallback here.
     """
@@ -125,15 +141,34 @@ def compute_ric(a, s, subset_cap=DEFAULT_SUBSET_CAP):
         rows = min(chunk, total - start)
         idx = np.fromiter(chain.from_iterable(islice(combos, rows)),
                           dtype=np.intp, count=rows * s).reshape(rows, s)
-        eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        sub = gram[idx[:, :, None], idx[:, None, :]]
+        # Skip only a bound provably below the threshold, so an inf or NaN
+        # bound, and every subset while best is -inf, is solved.
+        threshold = best - _SKIP_MARGIN * (1.0 + abs(best))
+        keep = np.flatnonzero(~(_deviation_bound(sub) < threshold))
+        if keep.size == 0:
+            continue
+        eigs = np.linalg.eigvalsh(sub[keep])
         dev = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
         j = int(np.argmax(dev))  # first maximum: earliest subset wins ties
         if dev[j] > best:
             best = dev[j]
-            best_subset = tuple(idx[j].tolist())
+            best_subset = tuple(idx[keep[j]].tolist())
     return RicCertificate(subset_size=s, delta=max(float(best), 0.0),
                           extremal_subset=best_subset,
                           matrix_digest=matrix_digest(a))
+
+
+def _deviation_bound(sub):
+    """Upper bound on each stacked Gram's deviation from isometry.
+
+    With E = G_T - I, delta_T = max|eig(E)| <= (sum eig(E)^4)^(1/4), which
+    is ||E^2||_F^(1/2). An entry of E^2 that overflows makes the bound inf.
+    """
+    e = sub - np.eye(sub.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        e2 = e @ e
+        return np.sqrt(np.sqrt(np.einsum("kij,kij->k", e2, e2)))
 
 
 def lemma1_bounds(k, l):

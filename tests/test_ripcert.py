@@ -108,6 +108,79 @@ def test_ric_chunks_match_per_subset_reference():
         assert all(type(j) is int for j in cert.extremal_subset)
 
 
+def _skip_cases():
+    # Every case but s=1 and s=n spans several chunks, so later chunks are
+    # filtered against a running best.
+    rng = np.random.default_rng(47)
+    gauss = rng.normal(0.0, 1.0 / np.sqrt(12), size=(12, 16))
+    signs = np.where(rng.random(16) < 0.5, -1.0, 1.0)
+    q = random_orthonormal(rng, 16)
+    return {
+        # Every delta is rounding noise, so only the margin keeps the ties.
+        "orthonormal": (random_orthonormal(rng, 30)[:, :14], 5),
+        # E = 0.49 * ones: rank one, the bound equals delta, all subsets tie.
+        "rank-one": (np.vstack([np.eye(12), 0.7 * np.ones((1, 12))]), 5),
+        "scaled-up": (1e3 * gauss, 4),
+        "scaled-down": (1e-3 * gauss, 4),
+        # Gram entries near 1e161: every entry of E^2, so every bound, is inf.
+        "overflow": (1e80 * signs * gauss, 4),
+        "s=1": (gauss, 1),
+        "s=n": (gauss, 16),
+        "duplicated": (np.hstack([q[:, :12], q[:, [2, 2, 5]]]), 4),
+    }
+
+
+@pytest.mark.parametrize("name", list(_skip_cases()))
+def test_ric_skip_keeps_the_certificate_exact(name):
+    a, s = _skip_cases()[name]
+    delta, subset = ric_reference(a, s)
+    cert = compute_ric(a, s)
+    assert cert.delta == delta
+    assert cert.extremal_subset == subset
+
+
+def _count_eigensolves(monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        solved.append(len(m))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return solved
+
+
+def test_ric_skip_solves_every_subset_whose_bound_overflows(monkeypatch):
+    a, s = _skip_cases()["overflow"]
+    solved = _count_eigensolves(monkeypatch)
+    compute_ric(a, s)
+    assert sum(solved) == comb(a.shape[1], s)
+
+
+def test_ric_skip_solves_every_subset_whose_bound_is_nan(monkeypatch):
+    # A NaN bound proves nothing, so it must never skip an eigensolve.
+    a, s = _skip_cases()["scaled-up"]
+    delta, subset = ric_reference(a, s)
+    monkeypatch.setattr(ripcert, "_deviation_bound",
+                        lambda sub: np.full(len(sub), np.nan))
+    solved = _count_eigensolves(monkeypatch)
+    cert = compute_ric(a, s)
+    assert sum(solved) == comb(a.shape[1], s)
+    assert (cert.delta, cert.extremal_subset) == (delta, subset)
+
+
+def test_ric_skip_skips_most_eigensolves(monkeypatch):
+    # The Gaussian case of test_ric_chunks_match_per_subset_reference.
+    a = np.random.default_rng(41).normal(0.0, 1.0 / 8.0, size=(64, 18))
+    delta, subset = ric_reference(a, 6)
+    solved = _count_eigensolves(monkeypatch)
+    cert = compute_ric(a, 6)
+    assert (cert.delta, cert.extremal_subset) == (delta, subset)
+    assert solved[0] == _chunk_rows(6)  # nothing to beat in the first chunk
+    assert sum(solved) < 0.05 * comb(18, 6)
+
+
 @pytest.mark.parametrize("cols,s", [(24, 5), (28, 6)])
 def test_ric_memory_is_bounded_by_the_chunk(cols, s):
     # 42,504 and 376,740 subsets: the peak follows the chunk, not the count.
