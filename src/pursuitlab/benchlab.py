@@ -12,6 +12,7 @@ the only nondeterministic field in a report.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -165,8 +166,8 @@ def _resolved(config, problem):
 
 def run_trial(problem, config, exact_tol=DEFAULT_EXACT_TOL):
     """One pursuit on one problem; wall time wraps the pursuit call only."""
-    if exact_tol <= 0.0:
-        raise ValueError("exact_tol must be positive")
+    if not 0.0 < exact_tol < math.inf:
+        raise ValueError(f"exact_tol must be positive and finite, got {exact_tol}")
     config = _resolved(config, problem)
     a, y = problem.dictionary, problem.observation
     try:
@@ -255,6 +256,8 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
         raise ValueError("trials_per_k must be >= 1")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not 0.0 < exact_tol < math.inf:
+        raise ValueError(f"exact_tol must be positive and finite, got {exact_tol}")
 
     slots = [(n, m, k, t, global_seed, configs, exact_tol,
               normalize_columns, flat_amplitudes)

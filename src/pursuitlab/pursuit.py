@@ -408,6 +408,43 @@ def run_mmp_bf(a, y, config, trace=False):
                  min(config.beam_width, config.max_paths), trace)
 
 
+def _paths(expand, tree, root, total, branch, max_len, eps):
+    """Last factor of each realized path below root whose branch ranks sum to total.
+
+    Lazy, in walk order: a caller that stops pulling stops projecting. The
+    walk keeps its own stack, one record per level: [fact, its _Ranks (kept
+    in tree across totals), branch sum left, next rank, last rank].
+    """
+    stack = []
+    fact, remaining = root, total
+    while fact is not None:
+        if fact.residual_norm < eps or fact.k == max_len:
+            if remaining == 0:
+                yield fact
+        else:
+            if fact.key not in tree:
+                tree[fact.key] = _Ranks(expand.a, fact)
+            # Ranks below remaining - headroom leave more branch sum than the
+            # levels below this one can spend.
+            headroom = (branch - 1) * (max_len - fact.k - 1)
+            stack.append([fact, tree[fact.key], remaining,
+                          max(0, remaining - headroom), min(branch - 1, remaining)])
+        fact = None
+        while fact is None and stack:  # the next child, from the deepest level
+            level = stack[-1]
+            parent, ranks, left, c, last = level
+            level[3] = c + 1
+            child = expand.rank(ranks, parent, c) if c <= last else None
+            if child is None:
+                stack.pop()
+                if c == 0 and parent.k == 0:
+                    raise DegenerateDictionaryError("every dictionary column is degenerate")
+                if c == 0 and left == 0:  # no candidate at all: stuck, and complete
+                    yield parent
+            elif child is not _DUP:
+                fact, remaining = child, left - c
+
+
 def run_mmp_df(a, y, config, trace=False):
     """Depth-first multipath pursuit over branch-choice vectors.
 
@@ -418,7 +455,8 @@ def run_mmp_df(a, y, config, trace=False):
     consuming the max_paths budget, and the smallest-residual completed
     path wins unless one meets the residual criterion outright. The
     registry gives every walked node its own support, so the tree is keyed
-    by support rather than by choice vector.
+    by support rather than by choice vector. The walk keeps its own stack,
+    so a path can be max_len deep, and frees its state on return.
     """
     if config.algorithm != "mmp-df":
         raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'mmp-df'")
@@ -427,64 +465,26 @@ def run_mmp_df(a, y, config, trace=False):
         return _finish(root, 0, expand, 1, RESIDUAL_MET, [root.key])
 
     branch = config.branch_factor
-    budget = config.max_paths
     tree = {}        # support key -> _Ranks of that node
     completed = []
     best = None
     paths = 0
-    found = False
-
-    def realize(fact):
-        # A path completed at this node with its branch budget exactly spent.
-        nonlocal best, paths, found
-        paths += 1
-        if trace:
-            completed.append(fact.key)
-        if best is None or fact.residual_norm < best.residual_norm:
-            best = fact
-        if fact.residual_norm < eps:
-            found = True
-            return True
-        return paths >= budget
-
-    def walk(fact, remaining):
-        # Visit every realized path below fact whose remaining branch sum is
-        # exactly `remaining`; True aborts the whole search.
-        depth = fact.k
-        if fact.residual_norm < eps or depth == max_len:
-            if remaining == 0:
-                return realize(fact)
-            return False
-        ranks = tree.get(fact.key)
-        if ranks is None:
-            ranks = tree[fact.key] = _Ranks(expand.a, fact)
-        # Ranks below remaining - headroom leave more branch sum than the
-        # levels below this one can spend.
-        headroom = (branch - 1) * (max_len - depth - 1)
-        for c in range(max(0, remaining - headroom), min(branch - 1, remaining) + 1):
-            child = expand.rank(ranks, fact, c)
-            if child is None:
-                if c == 0:
-                    # No candidate at all: the path is stuck here.
-                    if depth == 0:
-                        raise DegenerateDictionaryError(
-                            "every dictionary column is degenerate")
-                    if remaining == 0:
-                        return realize(fact)
-                break
-            if child is not _DUP and walk(child, remaining - c):
-                return True
-        return False
-
     for total in range((branch - 1) * max_len + 1):
-        if walk(root, total):
-            break
+        for fact in _paths(expand, tree, root, total, branch, max_len, eps):
+            paths += 1
+            if trace:
+                completed.append(fact.key)
+            if best is None or fact.residual_norm < best.residual_norm:
+                best = fact
+            if best.residual_norm < eps or paths == config.max_paths:
+                break
+        else:
+            continue
+        break
 
-    if best is None:
-        # Only reachable if the all-zero path could not spend any budget,
-        # which the stuck/degenerate handling above already covers.
-        raise DegenerateDictionaryError("no candidate path could be completed")
-    terminated = RESIDUAL_MET if found else PATH_BUDGET_EXHAUSTED
+    # best is set: total 0 walks the greedy path, which completes (or the root
+    # raises), since the registry then holds only that path's shorter prefixes.
+    terminated = RESIDUAL_MET if best.residual_norm < eps else PATH_BUDGET_EXHAUSTED
     return _finish(best, len(tree), expand, paths, terminated, completed)
 
 

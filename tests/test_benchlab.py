@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -146,8 +147,9 @@ def test_run_trial_error_carries_seed(monkeypatch):
 def test_run_trial_exact_tol_validation():
     problem = gen_problem(24, 12, 3, seed=5)
     cfg = PursuitConfig("omp", TerminationRule.sparsity(None))
-    with pytest.raises(ValueError):
-        run_trial(problem, cfg, exact_tol=0.0)
+    for tol in (0.0, -1e-2, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            run_trial(problem, cfg, exact_tol=tol)
 
 
 def test_anmse_examples():
@@ -261,6 +263,9 @@ def test_sweep_validations():
     for jobs in (0, -1):
         with pytest.raises(ValueError):
             run_sweep(24, 12, [3], 2, cfgs, 1, jobs=jobs)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="exact_tol"):
+            run_sweep(24, 12, [3], 2, cfgs, 1, exact_tol=tol)
 
 
 def test_reference_configs_shape():

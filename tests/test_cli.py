@@ -209,6 +209,16 @@ def test_bench_invalid_config(tmp_path, capsys):
     assert "jobs must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_bench_rejects_bad_exact_tol(tmp_path, capsys, tol):
+    code = main(["bench", "--n", "24", "--m", "12", "--k", "3", "--trials", "1",
+                 "--exact-tol", tol, "--csv", str(tmp_path / "x.csv"),
+                 "--json", str(tmp_path / "x.json")])
+    assert code == 1
+    assert "exact_tol must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
+
+
 def test_bench_bad_k_range(tmp_path, capsys):
     code = main(["bench", "--k", "10:0:50", "--trials", "1",
                  "--csv", str(tmp_path / "x.csv"),

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from pursuitlab.benchlab import gen_problem
 from pursuitlab.pursuit import (
     ADAPTIVE_MULTIPLICATIVE,
+    ALGORITHMS,
     MULTIPLICATIVE,
     CostModel,
     DegenerateDictionaryError,
@@ -612,6 +615,33 @@ def test_mmp_df_memory_stays_near_omp():
     omp = peak(lambda: run_omp(prob.dictionary, y, rule))
     mmp_df = peak(lambda: run_mmp_df(prob.dictionary, y, config))
     assert mmp_df <= 4 * omp, (mmp_df, omp)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # A search's state dies with its last reference, so a dead search never
+    # waits for the cycle collector to free its tree, registry and buffers.
+    prob = gen_problem(256, 100, 40, 7)
+    rule = TerminationRule.residual(1e-6, k_max=55)
+    gc.disable()
+    try:
+        gc.collect()
+        for algorithm in ALGORITHMS:
+            run(prob.dictionary, prob.observation, PursuitConfig(algorithm, rule))
+            assert gc.collect() == 0, algorithm
+    finally:
+        gc.enable()
+
+
+def test_mmp_df_walks_deeper_than_the_recursion_limit():
+    rows = sys.getrecursionlimit() + 100
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((rows, rows + 50))
+    y = rng.standard_normal(rows)
+    config = PursuitConfig("mmp-df", TerminationRule.residual(1e-9, k_max=rows),
+                           branch_factor=2, max_paths=1)
+    res = run_mmp_df(a, y, config)
+    assert len(res.support) == rows
+    assert res.terminated_by == RESIDUAL_MET
 
 
 # --- the expansion kernel's rank resolver -------------------------------------
