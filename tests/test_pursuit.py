@@ -644,6 +644,23 @@ def test_mmp_df_walks_deeper_than_the_recursion_limit():
     assert res.terminated_by == RESIDUAL_MET
 
 
+def test_mmp_df_completes_paths_stuck_below_the_length_cap():
+    # Rank 2 with a cap of 3 columns: every 2-column path spans the whole
+    # column space, so it can grow no further and completes where it stands.
+    a = np.array([[1.0, 0.0, 1.0, 1.0, 2.0],
+                  [0.0, 1.0, 1.0, -1.0, 1.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0]])
+    y = np.array([3.0, 1.0, 2.0])
+    config = PursuitConfig("mmp-df", TerminationRule.sparsity(3))
+    res = run_mmp_df(a, y, config, trace=True)
+    completed = res.trace["completed"]
+    assert completed[0] == tuple(sorted(run_omp(a, y, config.termination).support))
+    assert sorted(completed) == [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    assert res.paths_opened == 10
+    assert res.residual_norm == pytest.approx(2.0)
+    assert res.terminated_by == PATH_BUDGET_EXHAUSTED
+
+
 # --- the expansion kernel's rank resolver -------------------------------------
 
 def _below_dup():
