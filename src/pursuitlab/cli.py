@@ -9,6 +9,7 @@ line "rows cols", then the entries row-major, whitespace-separated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -228,7 +229,9 @@ def _cmd_bounds(args):
 
 # --- parser ----------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared by later main calls."""
     parser = _Parser(prog="pursuitlab",
                      description="Sparse recovery by tree-search matching "
                                  "pursuits, with RIP certification and a "

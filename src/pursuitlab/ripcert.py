@@ -6,10 +6,14 @@ over every column subset T of size S. Exact computation must visit all
 binomial(N, S) subsets, so compute_ric refuses anything past a hard subset
 cap instead of silently falling back to sampling. It certifies every subset
 exactly in bounded chunks and reports the first extremal subset in
-combinations order. A cheap upper bound on each subset's deviation comes
-first, and the batched eigensolve runs only on the subsets whose bound
-could still beat the running best; a skipped subset provably cannot win,
-so the certificate is the one a full enumeration gives. The lemma1_bounds
+combinations order. Each subset is enumerated as a head, its first s // 2
+columns, plus a tail, from two precomputed tables. Two upper bounds on its
+deviation come first: a block bound built from per-head and per-tail
+bounds and the few head-tail Gram entries, then, for the subsets that
+pass, a bound on the whole subset Gram matrix. The batched eigensolve runs
+only on the subsets whose bounds could still beat the running best; a
+skipped subset provably cannot win, so the certificate is the one a full
+enumeration gives. The lemma1_bounds
 pair gives the two sufficient recovery thresholds for branch-L tree search
 of a K-sparse signal; the looser one strictly dominates the tighter one.
 """
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 from math import comb, sqrt
 
 import numpy as np
@@ -38,9 +41,17 @@ __all__ = [
 
 DEFAULT_SUBSET_CAP = 2_000_000
 
-# Gram entries stacked per eigensolve (64 KiB of float64; 227 subsets at
-# s=6). Subsets per chunk shrink as s grows, so memory stays flat for any
-# subset count. Four times the budget ran no faster and held more memory.
+# Gram entries each stage gathers at a time (64 KiB of float64): the block
+# bound gathers s // 2 * (s - s // 2) entries per subset (910 subsets per
+# chunk at s=6), the whole-subset bound and the eigensolve s * s (227), so
+# their memory stays flat for any subset count. Four times the budget ran
+# no faster and held more memory. The half tables are the exception: they
+# hold C(n - ceil(s/2), floor(s/2)) heads of floor(s/2) columns and
+# C(n - floor(s/2), ceil(s/2)) tails of ceil(s/2) columns, each with one
+# bound. Under the default cap that is at most 80,730 rows per table for
+# n <= 64 (n=49, s=44: 28 MB of indices for both), but it grows with n at
+# s close to n, up to 500,500 rows of 999 columns per table (4 GB) at
+# n=2000, s=1998.
 _CHUNK_ENTRIES = 8_192
 
 # Relative margin under the running best below which a subset's bound skips
@@ -110,14 +121,18 @@ def compute_ric(a, s, subset_cap=DEFAULT_SUBSET_CAP):
     Walks every size-s column subset, takes the extremal eigenvalues of the
     subset Gram matrix, and returns the worst deviation from isometry along
     with a subset attaining it. Subsets are taken in combinations order in
-    bounded chunks. With E = G_T - I, each subset's deviation is
-    ||E||_2 <= ||E^2||_F^(1/2), the Schatten-4 norm of E; one stacked
-    eigvalsh call per chunk certifies exactly the subsets whose bound is not
-    below the running best minus a rounding margin, and the rest, which
-    cannot win, skip it. On a tie the first subset in combinations order
-    wins, as in a full enumeration. Raises EnumerationCapError
-    when the subset count exceeds subset_cap, before any work; there is no
-    sampling fallback here.
+    bounded chunks, each split into a head (its first s // 2 columns) and a
+    tail. With E = G_T - I, each subset is screened twice before its
+    eigensolve. The block bound combines the heads' and tails' Schatten-4
+    bounds, computed once per head and per tail, with the squared Frobenius
+    norm of the head-tail block of E, so it gathers s // 2 * (s - s // 2)
+    entries per subset. The survivors are gathered whole and bounded by the
+    Schatten-4 norm ||E^2||_F^(1/2). One stacked eigvalsh call certifies
+    exactly the subsets whose bounds are not below the running best minus a
+    rounding margin; the rest cannot win. On a tie the first subset in
+    combinations order wins, as in a full enumeration. Raises
+    EnumerationCapError when the subset count exceeds subset_cap, before any
+    work; there is no sampling fallback here.
     """
     a = as_matrix(a)
     n = a.shape[1]
@@ -133,39 +148,126 @@ def compute_ric(a, s, subset_cap=DEFAULT_SUBSET_CAP):
         gram = a.T @ a
     if not np.isfinite(gram).all():
         raise ValueError("Gram matrix overflows float64; rescale the dictionary")
-    chunk = max(1, _CHUNK_ENTRIES // (s * s))
-    combos = combinations(range(n), s)
+    e = gram - np.eye(n)
+    with np.errstate(over="ignore"):
+        e_sq = e * e
+    halves = _Halves(n, s)
+    head_bound = _table_bound(e, halves.heads)
+    tail_bound = _table_bound(e, halves.tails)
+    s1 = halves.heads.shape[1]
+    ones = np.ones(s1 * (s - s1))
+    step = max(1, _CHUNK_ENTRIES // max(1, ones.size))
+    batch = max(1, _CHUNK_ENTRIES // (s * s))
     best = -np.inf
     best_subset = None
-    for start in range(0, total, chunk):
-        rows = min(chunk, total - start)
-        idx = np.fromiter(chain.from_iterable(islice(combos, rows)),
-                          dtype=np.intp, count=rows * s).reshape(rows, s)
-        sub = gram[idx[:, :, None], idx[:, None, :]]
-        # Skip only a bound provably below the threshold, so an inf or NaN
-        # bound, and every subset while best is -inf, is solved.
-        threshold = best - _SKIP_MARGIN * (1.0 + abs(best))
-        keep = np.flatnonzero(~(_deviation_bound(sub) < threshold))
-        if keep.size == 0:
-            continue
-        eigs = np.linalg.eigvalsh(sub[keep])
-        dev = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
-        j = int(np.argmax(dev))  # first maximum: earliest subset wins ties
-        if dev[j] > best:
-            best = dev[j]
-            best_subset = tuple(idx[keep[j]].tolist())
+    for start in range(0, total, step):
+        head, tail = halves.rows(start, min(start + step, total))
+        heads = halves.heads.take(head, axis=0)
+        tails = halves.tails.take(tail, axis=0)
+        # ||E_HL||_F^2; the product with ones sums faster than .sum does.
+        cross = _gather(e_sq, heads, tails).reshape(len(head), -1) @ ones
+        bound = _block_bound(head_bound[head], tail_bound[tail], cross)
+        keep = np.flatnonzero(_may_win(bound, best))
+        for lo in range(0, keep.size, batch):
+            rows = keep[lo:lo + batch]
+            rows = rows[_may_win(bound[rows], best)]  # best may have risen
+            idx = np.concatenate((heads[rows], tails[rows]), axis=1)
+            idx = idx[_may_win(_deviation_bound(_gather(e, idx, idx)), best)]
+            if not len(idx):
+                continue
+            eigs = np.linalg.eigvalsh(_gather(gram, idx, idx))
+            dev = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
+            j = int(np.argmax(dev))  # first maximum: earliest subset wins ties
+            if dev[j] > best:
+                best = dev[j]
+                best_subset = tuple(idx[j].tolist())
     return RicCertificate(subset_size=s, delta=max(float(best), 0.0),
                           extremal_subset=best_subset,
                           matrix_digest=matrix_digest(a))
 
 
-def _deviation_bound(sub):
-    """Upper bound on each stacked Gram's deviation from isometry.
+def _may_win(bound, best):
+    """Subsets whose bound is not provably below best, by _SKIP_MARGIN.
 
-    With E = G_T - I, delta_T = max|eig(E)| <= (sum eig(E)^4)^(1/4), which
-    is ||E^2||_F^(1/2). An entry of E^2 that overflows makes the bound inf.
+    An inf or NaN bound, and every bound while best is -inf, may win.
     """
-    e = sub - np.eye(sub.shape[-1])
+    return ~(bound < best - _SKIP_MARGIN * (1.0 + abs(best)))
+
+
+def _combinations(m, k):
+    """Every k-subset of range(m) as a row of an intp array, in combinations order."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for j in range(k):
+        last = rows[:, -1] if j else np.full(1, -1, dtype=np.intp)
+        # Column j of a k-subset runs from last + 1 to m - k + j.
+        counts = m - k + j - last
+        firsts = np.repeat(last + 1 - np.cumsum(counts) + counts, counts)
+        rows = np.column_stack((np.repeat(rows, counts, axis=0),
+                                firsts + np.arange(len(firsts))))
+    return rows
+
+
+class _Halves:
+    """The size-s column subsets of range(n) as (head, tail) row pairs.
+
+    A subset's head is its first s // 2 columns and its tail is the rest.
+    heads lists, in combinations order, the heads that have a tail, and
+    tails the tails that follow some head. The tails of a head are a suffix
+    of tails, so cumulative tail counts per head map consecutive ranks in
+    combinations order to their rows with one searchsorted.
+    """
+
+    def __init__(self, n, s):
+        s1 = s // 2
+        s2 = s - s1
+        self.heads = _combinations(n - s2, s1)
+        self.tails = s1 + _combinations(n - s1, s2)
+        last = self.heads[:, -1] if s1 else np.full(1, -1, dtype=np.intp)
+        # A head ending at column m has comb(n - 1 - m, s2) tails.
+        per_last = np.array([comb(n - 1 - m, s2) for m in range(s1 - 1, n - s2)],
+                            dtype=np.int64)
+        self._ends = np.cumsum(per_last[last - (s1 - 1)])
+        self._shift = len(self.tails) - self._ends
+
+    def rows(self, lo, hi):
+        """Head and tail rows of the subsets ranked lo..hi-1."""
+        rank = np.arange(lo, hi)
+        head = np.searchsorted(self._ends, rank, side="right")
+        return head, rank + self._shift[head]
+
+
+def _gather(m, rows, cols):
+    """The stack m[rows[k, i], cols[k, j]] of a square m, through its flat view."""
+    return m.ravel()[(rows * len(m))[:, :, None] + cols[:, None, :]]
+
+
+def _table_bound(e, table):
+    """_deviation_bound of E on each row's columns, in chunks of _CHUNK_ENTRIES."""
+    w = table.shape[1]
+    step = max(1, _CHUNK_ENTRIES // max(1, w * w))
+    return np.concatenate([
+        _deviation_bound(_gather(e, t, t))
+        for t in (table[i:i + step] for i in range(0, len(table), step))])
+
+
+def _block_bound(h, t, cross):
+    """Upper bound on ||E||_2 for E = [[E_HH, E_HL], [E_LH, E_LL]].
+
+    ||E||_2 is at most the norm of the 2x2 matrix of block norms, which
+    grows with each of them; h and t bound ||E_HH|| and ||E_LL||, and
+    cross = ||E_HL||_F^2 bounds ||E_HL||^2. An inf bound on both diagonal
+    blocks makes the result NaN, which never skips.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (h + t) + np.sqrt((0.5 * (h - t)) ** 2 + cross)
+
+
+def _deviation_bound(e):
+    """Upper bound on the spectral norm of each matrix in a stack of E = G_T - I.
+
+    delta_T = max|eig(E)| <= (sum eig(E)^4)^(1/4), which is ||E^2||_F^(1/2).
+    An entry of E^2 that overflows makes the bound inf.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         e2 = e @ e
         return np.sqrt(np.sqrt(np.einsum("kij,kij->k", e2, e2)))
@@ -175,7 +277,10 @@ def lemma1_bounds(k, l):
     """Both sufficient-recovery thresholds for sparsity k and branch width l."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    rk, rl = sqrt(k), sqrt(l)
+    try:
+        rk, rl = sqrt(k), sqrt(l)
+    except OverflowError as err:
+        raise ValueError("k and l must fit in a float64") from err
     return BoundPair(k=k, l=l,
                      bound_loose=rl / (rk + rl),
                      bound_tight=rl / (rk + 2.0 * rl))

@@ -322,6 +322,33 @@ def test_bounds_validation(capsys):
     capsys.readouterr()
 
 
+def test_huge_integer_flags_exit_one(tmp_path, capsys):
+    mat = tmp_path / "q.txt"
+    _write_array(mat, np.eye(3))
+    huge = "1" + "0" * 400
+    for argv in (["bounds", "--k", huge, "--l", "1"],
+                 ["bounds", "--k", "1", "--l", huge],
+                 ["rip", str(mat), "--s", huge]):
+        assert main(argv) == 1
+        assert "float64" in capsys.readouterr().err
+
+
+def test_successive_calls_share_no_state(tmp_path, capsys):
+    # The parser is built once per process; each call still parses alone.
+    mat = tmp_path / "q.txt"
+    _write_array(mat, np.eye(4))
+    cert = tmp_path / "cert.json"
+    assert main(["rip", str(mat), "--s", "2", "--json", str(cert)]) == 0
+    assert "certificate written" in capsys.readouterr().out
+    cert.unlink()
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert main(["rip", str(mat), "--s", "2"]) == 0
+    assert "written" not in capsys.readouterr().out
+    assert not cert.exists()
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["bench", "--help"]) == 0

@@ -181,9 +181,27 @@ def test_ric_skip_skips_most_eigensolves(monkeypatch):
     assert sum(solved) < 0.05 * comb(18, 6)
 
 
-@pytest.mark.parametrize("cols,s", [(24, 5), (28, 6)])
+def test_ric_screens_most_subsets_before_gathering_them(monkeypatch):
+    # The case of test_ric_skip_skips_most_eigensolves: the block bound
+    # rejects most subsets, so few rows, half-table rows included, reach
+    # the Schatten-4 bound.
+    a = np.random.default_rng(41).normal(0.0, 1.0 / 8.0, size=(64, 18))
+    rows = []
+    bound = ripcert._deviation_bound
+
+    def counting(e):
+        rows.append(len(e))
+        return bound(e)
+
+    monkeypatch.setattr(ripcert, "_deviation_bound", counting)
+    assert compute_ric(a, 6).extremal_subset == ric_reference(a, 6)[1]
+    assert sum(rows) < comb(18, 6) / 4
+
+
+@pytest.mark.parametrize("cols,s", [(24, 5), (28, 6), (20, 10)])
 def test_ric_memory_is_bounded_by_the_chunk(cols, s):
-    # 42,504 and 376,740 subsets: the peak follows the chunk, not the count.
+    # 42,504, 376,740 and 184,756 subsets: the peak follows the chunk and
+    # the half tables (3,003 rows each at 20x10), not the count.
     a = np.random.default_rng(43).standard_normal((64, cols))
     tracemalloc.start()
     try:
@@ -192,6 +210,55 @@ def test_ric_memory_is_bounded_by_the_chunk(cols, s):
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 12])
+def test_halves_enumerate_subsets_in_combinations_order(n):
+    for s in sorted({1, 2, n - 1, n} & set(range(1, n + 1))):
+        halves = ripcert._Halves(n, s)
+        s1 = s // 2
+        assert halves.heads.shape == (comb(n - (s - s1), s1), s1)
+        assert halves.tails.shape == (comb(n - s1, s - s1), s - s1)
+        total = comb(n, s)
+        # Chunks of any length cover every rank once, in order.
+        for step in (1, 4, total):
+            pieces = [halves.rows(lo, min(lo + step, total))
+                      for lo in range(0, total, step)]
+            head = np.concatenate([h for h, _ in pieces])
+            tail = np.concatenate([t for _, t in pieces])
+            got = np.hstack((halves.heads[head], halves.tails[tail]))
+            assert got.tolist() == [list(t) for t in combinations(range(n), s)]
+
+
+def _bound_cases():
+    rng = np.random.default_rng(53)
+    gauss = rng.normal(0.0, 1.0 / np.sqrt(10), size=(10, 11))
+    # Columns within about 0.01 radians of one common direction.
+    near = rng.normal(0.0, 1.0, size=(10, 1)) + 0.01 * rng.normal(size=(10, 11))
+    near /= np.linalg.norm(near, axis=0)
+    q = random_orthonormal(rng, 10)
+    dup = np.hstack([q[:, :8], q[:, [1, 1, 6]]])
+    rank_one = np.vstack([np.eye(11), 0.7 * np.ones((1, 11))])
+    return [(a, s) for a in (gauss, near, dup, rank_one) for s in (1, 2, 3, 5, 8)]
+
+
+def test_block_bound_is_above_every_deviation():
+    for a, s in _bound_cases():
+        n = a.shape[1]
+        e = a.T @ a - np.eye(n)
+        halves = ripcert._Halves(n, s)
+        head, tail = halves.rows(0, comb(n, s))
+        heads, tails = halves.heads[head], halves.tails[tail]
+        cross = (e * e)[heads[:, :, None], tails[:, None, :]].sum(axis=(1, 2))
+        bound = ripcert._block_bound(ripcert._table_bound(e, halves.heads)[head],
+                                     ripcert._table_bound(e, halves.tails)[tail],
+                                     cross)
+        idx = np.hstack((heads, tails))
+        eigs = np.linalg.eigvalsh((a.T @ a)[idx[:, :, None], idx[:, None, :]])
+        dev = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
+        # Rank one makes the bound tight, so allow rounding, which stays
+        # far below the skip margin.
+        assert np.all(bound >= dev - 1e-13 * (1.0 + dev))
 
 
 def test_ric_cap_refusal():
@@ -271,6 +338,9 @@ def test_bounds_validation():
         lemma1_bounds(0, 1)
     with pytest.raises(ValueError):
         lemma1_bounds(1, 0)
+    for k, l in ((10 ** 400, 1), (1, 10 ** 400)):  # roots beyond float64
+        with pytest.raises(ValueError, match="float64"):
+            lemma1_bounds(k, l)
 
 
 # --- check_recovery_condition ---------------------------------------------------
