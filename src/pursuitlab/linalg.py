@@ -41,27 +41,43 @@ def as_vector(y):
 
 
 class _Columns:
-    """Capacity-width q/r/qty storage shared by factorizations with a common prefix.
+    """Capacity-width q/qty storage, plus one R record per column, shared by
+    factorizations with a common prefix.
 
-    Columns [0, fill) are written once and never change afterwards, so every
-    factorization whose first columns are these can read them in place.
+    Column k's record is (w, unorm): w holds the new column's coordinates on
+    q[:, :k], R's entries above the diagonal, and unorm the diagonal entry.
+    Columns [0, fill) and their records are written once and never change
+    afterwards, so every factorization whose first columns are these can
+    read them in place; a private copy of the prefix copies q and qty and
+    shares the records.
     """
 
-    __slots__ = ("q", "r", "qty", "fill")
+    __slots__ = ("q", "qty", "records")
 
     def __init__(self, rows, capacity):
         self.q = np.empty((rows, capacity), dtype=np.float64, order="F")
-        self.r = np.zeros((capacity, capacity), dtype=np.float64)
         self.qty = np.zeros(capacity, dtype=np.float64)
-        self.fill = 0
+        self.records = []
+
+    @property
+    def fill(self):
+        return len(self.records)
 
     def claim(self, k, u, w, unorm, c):
         """Write column k, the first free slot."""
         self.q[:, k] = u
-        self.r[:k, k] = w
-        self.r[k, k] = unorm
         self.qty[k] = c
-        self.fill = k + 1
+        self.records.append((w, unorm))
+
+    def r(self, k):
+        """The dense upper-triangular k x k factor of the first k columns."""
+        r = np.zeros((k, k), dtype=np.float64)
+        records = self.records
+        for j in range(k):
+            w, unorm = records[j]
+            r[:j, j] = w
+            r[j, j] = unorm
+        return r
 
 
 class IncrementalFactorization:
@@ -71,18 +87,21 @@ class IncrementalFactorization:
     q), their support key (the same indices as a sorted tuple), an
     orthonormal basis q of their span, the triangular factor r, the
     projections qty = q.T @ y, and the residual of y against the span. One
-    append costs O(rows * size) instead of a dense re-solve.
+    append costs O(rows * size) instead of a dense re-solve. r is kept as
+    one record per column and built as a dense k x k array only when read
+    and when solving, so a buffer holds no capacity x capacity array.
 
     Instances are mutable; branch a search path by calling copy() first.
-    A copy shares its source's q/r/qty buffer and its immutable key, and
-    owns only its residual and index list, so it costs O(rows + size); an
-    append builds the child key with one sorted insertion. The first
-    factorization to append to a shared buffer at slot k claims that slot
-    and writes there; written slots never change. A later append at a
-    claimed slot keeps its column pending beside the buffer, and the
-    factorization copies its columns into a private buffer only when it is
-    copied, appended to or solved. Until then column k-1 of q, r and qty
-    belongs to whichever factorization claimed it.
+    A copy shares its source's q/qty buffer and R records and its immutable
+    key, and owns only its residual and index list, so it costs
+    O(rows + size); an append builds the child key with one sorted
+    insertion. The first factorization to append to a shared buffer at
+    slot k claims that slot and writes there; written slots never change.
+    A later append at a claimed slot keeps its column pending beside the
+    buffer, and the factorization copies q and qty into a private buffer,
+    sharing the records of its prefix, only when it is copied, appended to
+    or solved. Until then column k-1 of q, r and qty belongs to whichever
+    factorization claimed it.
     """
 
     __slots__ = ("rows", "capacity", "k", "indices", "key", "cols",
@@ -105,7 +124,7 @@ class IncrementalFactorization:
 
     @property
     def r(self):
-        return self.cols.r
+        return self.cols.r(self.k)
 
     @property
     def qty(self):
@@ -117,8 +136,8 @@ class IncrementalFactorization:
         old = self.cols
         cols = _Columns(self.rows, self.capacity)
         cols.q[:, :k] = old.q[:, :k]
-        cols.r[:k, :k] = old.r[:k, :k]
         cols.qty[:k] = old.qty[:k]
+        cols.records = old.records[:k]
         cols.claim(k, *self.pending)
         self.cols = cols
         self.pending = None
@@ -192,7 +211,7 @@ class IncrementalFactorization:
         if self.pending is not None:
             self._own()
         k = self.k
-        r = self.cols.r
+        r = self.cols.r(k)
         x = self.cols.qty[:k].copy()
         for i in range(k - 1, -1, -1):
             if r[i, i] == 0.0:

@@ -274,16 +274,23 @@ def _deviation_bound(e):
 
 
 def lemma1_bounds(k, l):
-    """Both sufficient-recovery thresholds for sparsity k and branch width l."""
+    """Both sufficient-recovery thresholds for sparsity k and branch width l.
+
+    Raises ValueError when k or l is below 1, when either does not fit in a
+    float64, or when the two thresholds are not strictly ordered in float64.
+    """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     try:
         rk, rl = sqrt(k), sqrt(l)
     except OverflowError as err:
         raise ValueError("k and l must fit in a float64") from err
-    return BoundPair(k=k, l=l,
-                     bound_loose=rl / (rk + rl),
-                     bound_tight=rl / (rk + 2.0 * rl))
+    loose, tight = rl / (rk + rl), rl / (rk + 2.0 * rl)
+    if not loose > tight:
+        # Past k/l of about 1e32 both thresholds round to the same float64.
+        raise ValueError(f"k/l = {k / l:.3g} is too large: both thresholds "
+                         f"round to {loose:.12g} in float64")
+    return BoundPair(k=k, l=l, bound_loose=loose, bound_tight=tight)
 
 
 def check_recovery_condition(a, k, l, which="loose"):

@@ -322,6 +322,21 @@ def test_bounds_validation(capsys):
     capsys.readouterr()
 
 
+def test_unorderable_bounds_exit_one(tmp_path, capsys):
+    # Thresholds that round to one float64 are refused, not printed as FAIL.
+    mat = tmp_path / "q.txt"
+    _write_array(mat, np.eye(3))
+    huge = "1" + "0" * 300
+    for argv in (["bounds", "--k", huge, "--l", "1"],
+                 ["rip", str(mat), "--s", huge],
+                 ["rip", str(mat), "--s", "1" + "0" * 299 + "1", "--k", huge,
+                  "--l", "1"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert "both thresholds round to 1e-150 in float64" in captured.err
+
+
 def test_huge_integer_flags_exit_one(tmp_path, capsys):
     mat = tmp_path / "q.txt"
     _write_array(mat, np.eye(3))

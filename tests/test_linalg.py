@@ -273,7 +273,10 @@ def test_solve_rejects_singular_factor():
     a = np.asfortranarray(np.eye(2))
     f = factor_init(a, np.ones(2))
     f.append(a, 0)
-    f.r[0, 0] = 0.0
+    # r is built from the per-column records, so zero the stored diagonal.
+    w, _unorm = f.cols.records[0]
+    f.cols.records[0] = (w, 0.0)
+    assert f.r[0, 0] == 0.0
     with pytest.raises(ValueError):
         f.coefficients()
 
@@ -300,7 +303,7 @@ def own_columns(f):
     # q, r and qty of f's k columns, read without settling a pending column.
     k = f.k
     q = f.q[:, :k].copy()
-    r = f.r[:k, :k].copy()
+    r = f.r                      # built on read: a fresh k x k array
     qty = f.qty[:k].copy()
     if f.pending is not None:
         u, w, unorm, c = f.pending
@@ -315,8 +318,9 @@ def assert_matches_replay(f, a, y, capacity):
     want = replay(a, y, f.indices, capacity)
     k = f.k
     q, r, qty = own_columns(f)
+    assert r.shape == want.r.shape == (k, k)
     np.testing.assert_array_equal(q, want.q[:, :k])
-    np.testing.assert_array_equal(r, want.r[:k, :k])
+    np.testing.assert_array_equal(r, want.r)
     np.testing.assert_array_equal(qty, want.qty[:k])
     np.testing.assert_array_equal(f.residual, want.residual)
     assert f.residual_norm == want.residual_norm
@@ -401,5 +405,30 @@ def test_copy_shares_the_buffer_and_children_claim_in_order():
     # Expanding the pending child moved it to a private buffer first.
     assert second.cols is not parent.cols and second.pending is None
     assert grandchild.cols is second.cols and grandchild.pending is None
+    # The private buffer copied q and qty but shares the prefix's R record.
+    assert second.cols.records[0] is parent.cols.records[0]
     for f in (parent, first, second, grandchild):
         assert_matches_replay(f, a, y, 6)
+
+
+def test_private_buffer_allocates_no_capacity_squared_array():
+    # Moving a pending child into its own buffer copies q and qty; its R
+    # prefix is shared records, so nothing of size capacity**2 beyond q.
+    rows = capacity = 150
+    rng = np.random.default_rng(31)
+    a = np.asfortranarray(rng.standard_normal((rows, 200)))
+    parent = factor_init(a, rng.standard_normal(rows), capacity=capacity)
+    for j in range(99):
+        parent.append(a, j)
+    parent.copy().append(a, 99)
+    child = parent.copy().append(a, 100)
+    assert child.k == 100 and child.pending is not None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        copied = child.copy()
+        allocated = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert child.pending is None and copied.cols is child.cols
+    assert allocated <= 8 * (rows * capacity + capacity) + 8192, allocated

@@ -614,7 +614,10 @@ def test_mmp_df_memory_stays_near_omp():
 
     omp = peak(lambda: run_omp(prob.dictionary, y, rule))
     mmp_df = peak(lambda: run_mmp_df(prob.dictionary, y, config))
-    assert mmp_df <= 4 * omp, (mmp_df, omp)
+    # Buffers hold q alone (R is shared per-column records): about 5.31 MiB
+    # against OMP's 3.40 MiB, a ratio of 1.56. A capacity-square r in every
+    # buffer reads 5.66 against 3.12 MiB, a ratio of 1.82.
+    assert mmp_df <= 1.75 * omp, (mmp_df, omp)
 
 
 def test_searches_leave_no_cyclic_garbage():

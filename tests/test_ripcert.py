@@ -343,6 +343,16 @@ def test_bounds_validation():
             lemma1_bounds(k, l)
 
 
+def test_bounds_refuse_thresholds_float64_cannot_order():
+    # Past k/l of about 1e32 both thresholds round to one float64, so the
+    # strict order BoundPair documents cannot hold; refuse instead.
+    for k in (10 ** 33, 10 ** 300):
+        with pytest.raises(ValueError, match="round to"):
+            lemma1_bounds(k, 1)
+    pair = lemma1_bounds(10 ** 31, 1)
+    assert pair.bound_loose > pair.bound_tight
+
+
 # --- check_recovery_condition ---------------------------------------------------
 
 def test_check_orthonormal_passes_both():
