@@ -15,10 +15,8 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-import multiprocessing
 import numpy as np
 
 from .pursuit import (
@@ -263,6 +261,10 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
               normalize_columns, flat_amplitudes)
              for k in k_values for t in range(trials_per_k)]
     if jobs > 1:
+        # Imported here, so that importing the package (in every CLI call
+        # and every spawned worker) does not load the process pool.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         ctx = multiprocessing.get_context("spawn")
         workers = min(jobs, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:

@@ -92,16 +92,17 @@ class IncrementalFactorization:
     and when solving, so a buffer holds no capacity x capacity array.
 
     Instances are mutable; branch a search path by calling copy() first.
-    A copy shares its source's q/qty buffer and R records and its immutable
-    key, and owns only its residual and index list, so it costs
-    O(rows + size); an append builds the child key with one sorted
-    insertion. The first factorization to append to a shared buffer at
-    slot k claims that slot and writes there; written slots never change.
-    A later append at a claimed slot keeps its column pending beside the
-    buffer, and the factorization copies q and qty into a private buffer,
-    sharing the records of its prefix, only when it is copied, appended to
-    or solved. Until then column k-1 of q, r and qty belongs to whichever
-    factorization claimed it.
+    A copy shares its source's q/qty buffer, R records, immutable key and
+    residual, and owns only its index list, so it costs O(size). append
+    never writes a residual in place: it binds a new array, so a shared
+    residual never changes under another factorization. An append builds
+    the child key with one sorted insertion. The first factorization to
+    append to a shared buffer at slot k claims that slot and writes there;
+    written slots never change. A later append at a claimed slot keeps its
+    column pending beside the buffer, and the factorization copies q and
+    qty into a private buffer, sharing the records of its prefix, only
+    when it is copied, appended to or solved. Until then column k-1 of q,
+    r and qty belongs to whichever factorization claimed it.
     """
 
     __slots__ = ("rows", "capacity", "k", "indices", "key", "cols",
@@ -153,7 +154,7 @@ class IncrementalFactorization:
         new.key = self.key
         new.cols = self.cols
         new.pending = None
-        new.residual = self.residual.copy()
+        new.residual = self.residual
         new.residual_norm = self.residual_norm
         return new
 
@@ -174,33 +175,34 @@ class IncrementalFactorization:
         k = self.k
         cols = self.cols
         v = a[:, j]
-        vnorm2 = float(v @ v)
+        vnorm2 = float(v.dot(v))
         if vnorm2 == 0.0:
             raise DegenerateColumnError(f"column {j} is zero")
         qk = cols.q[:, :k]
-        w = qk.T @ v
-        u = v - qk @ w
-        unorm2 = float(u @ u)
+        w = qk.T.dot(v)
+        u = v - qk.dot(w)
+        unorm2 = float(u.dot(u))
         if unorm2 < 0.5 * vnorm2:
             # One reorthogonalization pass keeps q orthonormal to working precision.
-            w2 = qk.T @ u
-            u -= qk @ w2
+            w2 = qk.T.dot(u)
+            u -= qk.dot(w2)
             w += w2
-            unorm2 = float(u @ u)
+            unorm2 = float(u.dot(u))
         if unorm2 <= (DEGENERATE_RTOL * DEGENERATE_RTOL) * vnorm2:
             raise DegenerateColumnError(f"column {j} lies in the selected span")
 
         unorm = math.sqrt(unorm2)
         u /= unorm
-        c = float(u @ self.residual)
+        c = float(u.dot(self.residual))
         if cols.fill == k:
             cols.claim(k, u, w, unorm, c)
         else:
             self.pending = (u, w, unorm, c)
-        self.residual -= c * u
+        # A new array, never an in-place update: copies share the residual.
+        self.residual = residual = self.residual - c * u
         # A projection cannot lengthen the residual; clamp away rounding noise.
         self.residual_norm = min(self.residual_norm,
-                                 math.sqrt(float(self.residual @ self.residual)))
+                                 math.sqrt(float(residual.dot(residual))))
         self.indices.append(j)
         self.key = self.key[:pos] + (j,) + self.key[pos:]
         self.k = k + 1
@@ -216,7 +218,7 @@ class IncrementalFactorization:
         for i in range(k - 1, -1, -1):
             if r[i, i] == 0.0:
                 raise ValueError("singular triangular factor")
-            x[i] -= r[i, i + 1:k] @ x[i + 1:k]
+            x[i] -= r[i, i + 1:k].dot(x[i + 1:k])
             x[i] /= r[i, i]
         return x
 

@@ -17,7 +17,7 @@ search reports the same counters:
 """
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,21 +225,27 @@ def _ranked(a, fact):
     """Unselected columns by descending |correlation|, ties to the lowest index.
 
     Lazy and exact: the correlations are computed once, and each column
-    pulled from the returned iterator costs one argmax. argmax returns the
-    first maximum, so every prefix equals that of a full stable sort. The
-    iterator holds only the correlations, not fact, so a search node that
-    keeps it does not keep fact's buffer alive.
+    pulled from the returned iterator costs one argmax, plus one for each
+    selected column that argmax reaches first. argmax returns the first
+    maximum, so every prefix equals that of a full stable sort. The
+    iterator holds only the correlations and fact's immutable key, not
+    fact, so a search node that keeps it does not keep fact's buffer alive.
     """
-    corr = np.abs(a.T @ fact.residual)
-    if fact.indices:
-        corr[fact.indices] = -1.0
-    return _by_rank(corr, a.shape[1] - fact.k)
+    corr = a.T.dot(fact.residual)
+    np.abs(corr, out=corr)
+    return _by_rank(corr, fact.key, a.shape[1] - fact.k)
 
 
-def _by_rank(corr, left):
-    for _ in range(left):
+def _by_rank(corr, selected, left):
+    # Selected columns stay in corr and are skipped when argmax reaches
+    # them; selected is the sorted support key.
+    while left:
         j = int(corr.argmax())
         corr[j] = -1.0
+        pos = bisect_left(selected, j)
+        if pos < len(selected) and selected[pos] == j:
+            continue
+        left -= 1
         yield j
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -235,7 +236,7 @@ def test_sweep_caps_workers_at_the_core_count(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(benchlab, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     kw = dict(n=24, m=12, k_values=[2, 3], trials_per_k=3,
               configs=_tiny_configs(), global_seed=33)
     serial = run_sweep(**kw)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pursuitlab.linalg import DegenerateColumnError, factor_init
-from pursuitlab.pursuit import _ranked
+from pursuitlab.pursuit import _by_rank, _ranked
 
 from _oracles import ranked_reference
 
@@ -75,6 +75,13 @@ def _ranking_cases():
     yield "zero columns", zero, rng.standard_normal(6), [2]
     low = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 14))
     yield "rank-deficient, span exhausted", low, rng.standard_normal(20), [1, 6, 8]
+    # A selected column ties its unselected duplicates from a lower index.
+    yield "duplicated columns, lowest selected", dup, rng.standard_normal(10), [2, 7]
+    yield "zero columns, several selected", zero, rng.standard_normal(6), [3, 8, 5]
+    near = rng.standard_normal((15, 24))
+    near[:, 12:] = near[:, :12] + 1e-9 * rng.standard_normal((15, 12))
+    yield "near-parallel columns", near, rng.standard_normal(15), []
+    yield "near-parallel columns, selected", near, rng.standard_normal(15), [0, 13, 5]
 
 
 def test_ranking_equals_full_stable_sort():
@@ -87,6 +94,43 @@ def test_ranking_equals_full_stable_sort():
         got = list(_ranked(a, f))
         assert got == ranked_reference(a, f.residual, f.indices), name
         assert len(got) == a.shape[1] - len(selected), name
+
+
+def _mask_first(corr, selected):
+    # The selected columns masked out before a full stable sort; the
+    # identity dictionary correlates to corr exactly.
+    return ranked_reference(np.eye(corr.size), corr, selected)
+
+
+@pytest.mark.parametrize("corr, selected", [
+    ([0.5, 0.9, 0.2, 0.7], (1,)),                  # a selected column holds the max
+    ([0.9, 0.4, 0.9, 0.9, 0.1], (0,)),             # ties it from a lower index
+    ([0.3, 0.8, 0.8, 0.3, 0.8, 0.0], (1, 3)),      # ties at two levels
+    ([0.0, 0.0, 0.0, 0.0], (0, 2)),                # all tied at zero
+    ([0.6, 0.6, 0.6], (0, 1, 2)),                  # nothing left to rank
+    ([0.2, 0.5, 0.5, 0.5, 0.9], (2, 4)),           # selected between tied columns
+])
+def test_rank_skips_selected_columns_like_a_mask(corr, selected):
+    corr = np.array(corr)
+    want = _mask_first(corr, selected)
+    got = list(_by_rank(corr.copy(), selected, corr.size - len(selected)))
+    assert got == want
+    # Every prefix is exact too: a lazy reader stops early.
+    for n in range(len(want)):
+        ranking = _by_rank(corr.copy(), selected, corr.size - len(selected))
+        assert [next(ranking) for _ in range(n)] == want[:n]
+
+
+def test_rank_skips_selected_columns_on_random_ties():
+    # Correlations drawn from a few values, so that selected and unselected
+    # columns tie in every order.
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        n = int(rng.integers(1, 16))
+        corr = rng.integers(0, 4, n) / 4.0
+        selected = tuple(sorted(rng.choice(n, int(rng.integers(0, n + 1)), replace=False).tolist()))
+        got = list(_by_rank(corr.copy(), selected, n - len(selected)))
+        assert got == _mask_first(corr, selected), (corr, selected)
 
 
 def test_ranking_does_not_keep_its_factor_alive():
@@ -269,6 +313,30 @@ def test_copy_is_independent():
     assert g.residual_norm <= f.residual_norm
 
 
+def test_copy_shares_the_residual_and_allocates_less_than_one():
+    rows = 400
+    rng = np.random.default_rng(12)
+    a = np.asfortranarray(rng.standard_normal((rows, 60)))
+    f = factor_init(a, rng.standard_normal(rows))
+    for j in range(5):
+        f.append(a, j)
+    g = f.copy()
+    assert g.residual is f.residual
+    residual = f.residual.copy()
+    g.append(a, 7)
+    # The child bound a new residual; its source's is untouched.
+    assert g.residual is not f.residual
+    np.testing.assert_array_equal(f.residual, residual)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f.copy()
+        allocated = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert allocated < 8 * rows, allocated
+
+
 def test_solve_rejects_singular_factor():
     a = np.asfortranarray(np.eye(2))
     f = factor_init(a, np.ones(2))
@@ -328,12 +396,13 @@ def assert_matches_replay(f, a, y, capacity):
 
 
 def test_shared_buffer_interleavings_match_fresh_replay():
-    # Copies share their source's buffer; the first append at a slot claims
-    # it, later ones stay pending until the factor is copied, appended to or
-    # solved. Every live factor must stay bit-identical to a fresh replay.
+    # Copies share their source's buffer and residual; the first append at
+    # a slot claims it, later ones stay pending until the factor is copied,
+    # appended to or solved. Every live factor must stay bit-identical to a
+    # fresh replay.
     rng = np.random.default_rng(2024)
     seen = dict.fromkeys(("claim", "pending", "pending_copied", "parent_after_claim",
-                          "degenerate_free_slot", "solve_pending"), 0)
+                          "degenerate_free_slot", "solve_pending", "shared_residual"), 0)
     for _ in range(20):
         rows, capacity = 7, 6
         a = rng.standard_normal((rows, 10))
@@ -346,6 +415,9 @@ def test_shared_buffer_interleavings_match_fresh_replay():
         for _step in range(40):
             op = rng.random()
             f = live[int(rng.integers(len(live)))]
+            # Ops on a factor whose residual another live factor holds too.
+            seen["shared_residual"] += any(g is not f and g.residual is f.residual
+                                           for g in live)
             if op < 0.35:
                 seen["pending_copied"] += f.pending is not None
                 live.append(f.copy())
