@@ -9,13 +9,16 @@ exactly in bounded chunks and reports the first extremal subset in
 combinations order. Each subset is enumerated as a head, its first s // 2
 columns, plus a tail, from two precomputed tables. Two upper bounds on its
 deviation come first: a block bound built from per-head and per-tail
-bounds and the few head-tail Gram entries, then, for the subsets that
-pass, a bound on the whole subset Gram matrix. The batched eigensolve runs
-only on the subsets whose bounds could still beat the running best; a
-skipped subset provably cannot win, so the certificate is the one a full
-enumeration gives. The lemma1_bounds
-pair gives the two sufficient recovery thresholds for branch-L tree search
-of a K-sparse signal; the looser one strictly dominates the tighter one.
+bounds and the head-tail cross term, read from one row of head sums per
+head, then, for the subsets that pass, a bound on the whole subset Gram
+matrix. The batched eigensolve runs only on the subsets whose bounds
+could still beat the running best; until something is certified, a chunk
+too large for one eigensolve batch solves its best-bounded subset first
+to set that best. A skipped subset provably cannot win, so the
+certificate is the one a full enumeration gives. The
+lemma1_bounds pair gives the two sufficient recovery thresholds for
+branch-L tree search of a K-sparse signal; the looser one strictly
+dominates the tighter one.
 """
 
 from __future__ import annotations
@@ -42,11 +45,13 @@ __all__ = [
 DEFAULT_SUBSET_CAP = 2_000_000
 
 # Gram entries each stage gathers at a time (64 KiB of float64): the block
-# bound gathers s // 2 * (s - s // 2) entries per subset (910 subsets per
-# chunk at s=6), the whole-subset bound and the eigensolve s * s (227), so
-# their memory stays flat for any subset count. Four times the budget ran
-# no faster and held more memory. The half tables are the exception: they
-# hold C(n - ceil(s/2), floor(s/2)) heads of floor(s/2) columns and
+# bound gathers s - s // 2 cross entries per subset (2,730 subsets per chunk
+# at s=6) from the chunk's head sums, one row of n per head the chunk
+# spans (at most the chunk's subsets, about 200 heads at 24 columns,
+# s=20), and the whole-subset bound and the eigensolve gather s * s (227),
+# so their memory stays flat for any subset count. Four times the budget
+# ran no faster and held more memory. The half tables are the exception:
+# they hold C(n - ceil(s/2), floor(s/2)) heads of floor(s/2) columns and
 # C(n - floor(s/2), ceil(s/2)) tails of ceil(s/2) columns, each with one
 # bound. Under the default cap that is at most 80,730 rows per table for
 # n <= 64 (n=49, s=44: 28 MB of indices for both), but it grows with n at
@@ -125,14 +130,18 @@ def compute_ric(a, s, subset_cap=DEFAULT_SUBSET_CAP):
     tail. With E = G_T - I, each subset is screened twice before its
     eigensolve. The block bound combines the heads' and tails' Schatten-4
     bounds, computed once per head and per tail, with the squared Frobenius
-    norm of the head-tail block of E, so it gathers s // 2 * (s - s // 2)
-    entries per subset. The survivors are gathered whole and bounded by the
-    Schatten-4 norm ||E^2||_F^(1/2). One stacked eigvalsh call certifies
-    exactly the subsets whose bounds are not below the running best minus a
-    rounding margin; the rest cannot win. On a tie the first subset in
-    combinations order wins, as in a full enumeration. Raises
-    EnumerationCapError when the subset count exceeds subset_cap, before any
-    work; there is no sampling fallback here.
+    norm of the head-tail block of E. That norm comes from the chunk's head
+    sums, the rows of E∘E summed over each head's columns, so it gathers
+    s - s // 2 entries per subset. The survivors are gathered whole and
+    bounded by the Schatten-4 norm ||E^2||_F^(1/2). Stacked eigvalsh calls
+    certify exactly the subsets whose bounds are not below the running best
+    minus a rounding margin; the rest cannot win. While nothing is
+    certified, a chunk too large for one call first certifies its
+    best-bounded subset alone, so its other subsets are screened against
+    that deviation. On a tie the first subset in combinations order wins,
+    as in a full enumeration. Raises EnumerationCapError when the subset
+    count exceeds subset_cap, before any work; there is no sampling
+    fallback here.
     """
     a = as_matrix(a)
     n = a.shape[1]
@@ -154,32 +163,41 @@ def compute_ric(a, s, subset_cap=DEFAULT_SUBSET_CAP):
     halves = _Halves(n, s)
     head_bound = _table_bound(e, halves.heads)
     tail_bound = _table_bound(e, halves.tails)
-    s1 = halves.heads.shape[1]
-    ones = np.ones(s1 * (s - s1))
-    step = max(1, _CHUNK_ENTRIES // max(1, ones.size))
+    step = max(1, _CHUNK_ENTRIES // halves.tails.shape[1])
     batch = max(1, _CHUNK_ENTRIES // (s * s))
     best = -np.inf
+    best_rank = total
     best_subset = None
     for start in range(0, total, step):
         head, tail = halves.rows(start, min(start + step, total))
-        heads = halves.heads.take(head, axis=0)
         tails = halves.tails.take(tail, axis=0)
-        # ||E_HL||_F^2; the product with ones sums faster than .sum does.
-        cross = _gather(e_sq, heads, tails).reshape(len(head), -1) @ ones
-        bound = _block_bound(head_bound[head], tail_bound[tail], cross)
+        bound = _block_bound(head_bound[head], tail_bound[tail],
+                             _cross(e_sq, halves.heads, head, tails))
         keep = np.flatnonzero(_may_win(bound, best))
-        for lo in range(0, keep.size, batch):
-            rows = keep[lo:lo + batch]
+        groups = []
+        if best == -np.inf and keep.size > batch:
+            # Nothing to beat yet, so keep is the whole chunk: certify its
+            # best-bounded subset alone and screen the rest against it.
+            first = int(np.argmax(bound))
+            groups.append(keep[first:first + 1])
+            keep = np.delete(keep, first)
+        groups += [keep[lo:lo + batch] for lo in range(0, keep.size, batch)]
+        for rows in groups:
             rows = rows[_may_win(bound[rows], best)]  # best may have risen
-            idx = np.concatenate((heads[rows], tails[rows]), axis=1)
-            idx = idx[_may_win(_deviation_bound(_gather(e, idx, idx)), best)]
+            idx = np.concatenate((halves.heads[head[rows]], tails[rows]),
+                                 axis=1)
+            win = _may_win(_deviation_bound(_gather(e, idx, idx)), best)
+            rows, idx = rows[win], idx[win]
             if not len(idx):
                 continue
             eigs = np.linalg.eigvalsh(_gather(gram, idx, idx))
             dev = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
-            j = int(np.argmax(dev))  # first maximum: earliest subset wins ties
-            if dev[j] > best:
-                best = dev[j]
+            j = int(np.argmax(dev))  # first maximum: the lowest rank in rows
+            rank = start + int(rows[j])
+            # The first solve may come out of order, so keep the lowest rank
+            # among equal deviations explicitly.
+            if dev[j] > best or (dev[j] == best and rank < best_rank):
+                best, best_rank = dev[j], rank
                 best_subset = tuple(idx[j].tolist())
     return RicCertificate(subset_size=s, delta=max(float(best), 0.0),
                           extremal_subset=best_subset,
@@ -239,6 +257,27 @@ class _Halves:
 def _gather(m, rows, cols):
     """The stack m[rows[k, i], cols[k, j]] of a square m, through its flat view."""
     return m.ravel()[(rows * len(m))[:, :, None] + cols[:, None, :]]
+
+
+def _cross(e_sq, heads, head, tails):
+    """||E_HL||_F^2 of each subset from one row of head sums per head spanned.
+
+    head is a nondecreasing run of rows of heads and tails holds each
+    subset's tail columns. The sum of E∘E over a head's columns is built
+    one head column at a time, so the sums hold (heads spanned) x n entries,
+    and each subset gathers only its s - s // 2 tail entries of its head's
+    row.
+    """
+    first = head[0]
+    spanned = heads[first:head[-1] + 1]
+    n = len(e_sq)
+    sums = np.zeros((len(spanned), n))
+    with np.errstate(over="ignore"):
+        for col in spanned.T:
+            sums += e_sq.take(col, axis=0)
+    # The product with ones sums faster than .sum does.
+    return (sums.ravel()[((head - first) * n)[:, None] + tails]
+            @ np.ones(tails.shape[1]))
 
 
 def _table_bound(e, table):

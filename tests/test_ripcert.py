@@ -80,7 +80,8 @@ def test_ric_scale_law_on_isometry():
 
 
 def _chunk_rows(s):
-    return max(1, ripcert._CHUNK_ENTRIES // (s * s))
+    # Subsets per screening chunk: each gathers its s - s // 2 cross terms.
+    return max(1, ripcert._CHUNK_ENTRIES // (s - s // 2))
 
 
 def test_ric_chunks_match_per_subset_reference():
@@ -177,8 +178,42 @@ def test_ric_skip_skips_most_eigensolves(monkeypatch):
     solved = _count_eigensolves(monkeypatch)
     cert = compute_ric(a, 6)
     assert (cert.delta, cert.extremal_subset) == (delta, subset)
-    assert solved[0] == _chunk_rows(6)  # nothing to beat in the first chunk
-    assert sum(solved) < 0.05 * comb(18, 6)
+    assert solved[0] == 1  # the first chunk's best-bounded subset, alone
+    assert sum(solved) < 0.005 * comb(18, 6)
+
+
+def test_ric_first_solve_out_of_order_keeps_the_lowest_rank(monkeypatch):
+    # Orthogonal columns with squared norms d; columns 14 and 15 duplicate
+    # 5 and 6. Column 0 lies farthest from isometry, so every 4-subset that
+    # holds it has deviation G[0, 0] - 1 (its Gram is block diagonal with
+    # G[0, 0] alone) and they all tie. A subset that also splits a pair
+    # of copies across its halves has a larger block bound through the
+    # pair's cross term, so the first solve is such a subset, ranked after
+    # (0, 1, 2, 3).
+    d = np.array([3.0, 1.1, 0.9, 1.2, 0.8, 0.81, 0.64, 1.05, 0.95, 1.15,
+                  0.85, 1.3, 0.7, 1.0])
+    a = np.diag(np.sqrt(d))
+    a = np.hstack([a, a[:, [5, 6]]])
+    delta, subset = ric_reference(a, 4)
+    assert subset == (0, 1, 2, 3)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(m):
+        solved.append(m.copy())
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    cert = compute_ric(a, 4)
+    assert (cert.delta, cert.extremal_subset) == (delta, subset)
+    # The first solve is one subset that ties (0, 1, 2, 3) but is not it.
+    gram = a.T @ a
+    assert len(solved[0]) == 1
+    first = solved[0][0]
+    assert first[0, 0] == gram[0, 0]
+    assert not np.array_equal(first, gram[:4, :4])
+    eigs = eigvalsh(first)
+    assert max(eigs[-1] - 1.0, 1.0 - eigs[0]) == delta
 
 
 def test_ric_screens_most_subsets_before_gathering_them(monkeypatch):
@@ -198,10 +233,11 @@ def test_ric_screens_most_subsets_before_gathering_them(monkeypatch):
     assert sum(rows) < comb(18, 6) / 4
 
 
-@pytest.mark.parametrize("cols,s", [(24, 5), (28, 6), (20, 10)])
+@pytest.mark.parametrize("cols,s", [(24, 5), (28, 6), (20, 10), (24, 20)])
 def test_ric_memory_is_bounded_by_the_chunk(cols, s):
-    # 42,504, 376,740 and 184,756 subsets: the peak follows the chunk and
-    # the half tables (3,003 rows each at 20x10), not the count.
+    # 42,504, 376,740, 184,756 and 10,626 subsets: the peak follows the
+    # chunk, its head sums (a chunk spans up to 202 heads at 24x20) and the
+    # half tables (3,003 rows each at 20x10), not the count.
     a = np.random.default_rng(43).standard_normal((64, cols))
     tracemalloc.start()
     try:
@@ -249,7 +285,9 @@ def test_block_bound_is_above_every_deviation():
         halves = ripcert._Halves(n, s)
         head, tail = halves.rows(0, comb(n, s))
         heads, tails = halves.heads[head], halves.tails[tail]
-        cross = (e * e)[heads[:, :, None], tails[:, None, :]].sum(axis=(1, 2))
+        direct = (e * e)[heads[:, :, None], tails[:, None, :]].sum(axis=(1, 2))
+        cross = ripcert._cross(e * e, halves.heads, head, tails)
+        np.testing.assert_allclose(cross, direct, rtol=1e-13, atol=0.0)
         bound = ripcert._block_bound(ripcert._table_bound(e, halves.heads)[head],
                                      ripcert._table_bound(e, halves.tails)[tail],
                                      cross)
