@@ -105,12 +105,10 @@ class IncrementalFactorization:
     r and qty belongs to whichever factorization claimed it.
     """
 
-    __slots__ = ("rows", "capacity", "k", "indices", "key", "cols",
-                 "pending", "residual", "residual_norm")
+    __slots__ = ("k", "indices", "key", "cols", "pending", "residual",
+                 "residual_norm")
 
     def __init__(self, rows, capacity, y):
-        self.rows = rows
-        self.capacity = capacity
         self.k = 0
         self.indices = []
         self.key = ()
@@ -135,7 +133,7 @@ class IncrementalFactorization:
         # Move the shared prefix and the pending column into a private buffer.
         k = self.k - 1
         old = self.cols
-        cols = _Columns(self.rows, self.capacity)
+        cols = _Columns(*old.q.shape)
         cols.q[:, :k] = old.q[:, :k]
         cols.qty[:k] = old.qty[:k]
         cols.records = old.records[:k]
@@ -147,8 +145,6 @@ class IncrementalFactorization:
         if self.pending is not None:
             self._own()
         new = IncrementalFactorization.__new__(IncrementalFactorization)
-        new.rows = self.rows
-        new.capacity = self.capacity
         new.k = self.k
         new.indices = list(self.indices)
         new.key = self.key
@@ -160,15 +156,16 @@ class IncrementalFactorization:
 
     def append(self, a, j):
         """Append column j of a; raises DegenerateColumnError before any state changes."""
-        if a.shape[0] != self.rows:
-            raise ValueError(f"row mismatch: matrix has {a.shape[0]} rows, factorization has {self.rows}")
+        rows, capacity = self.cols.q.shape
+        if a.shape[0] != rows:
+            raise ValueError(f"row mismatch: matrix has {a.shape[0]} rows, factorization has {rows}")
         if not 0 <= j < a.shape[1]:
             raise ValueError(f"column index {j} out of range for {a.shape[1]} columns")
         pos = bisect_left(self.key, j)
         if pos < len(self.key) and self.key[pos] == j:
             raise ValueError(f"column index {j} already selected")
-        if self.k >= self.capacity:
-            raise ValueError(f"factorization capacity {self.capacity} exhausted")
+        if self.k >= capacity:
+            raise ValueError(f"factorization capacity {capacity} exhausted")
         if self.pending is not None:
             self._own()
 

@@ -1,12 +1,17 @@
 """Tree-search matching pursuits: greedy, breadth-first, depth-first, best-first.
 
 All four searches grow candidate supports column by column over a shared
-incremental QR core. They share one child-expansion step and differ only
-in how they schedule partial paths; OMP is the breadth-first beam with one
-branch and one surviving path. In that step, _Expansion.child is the only
-projection of a new support and _Expansion.rank the only way a search turns
-a branch rank into a child. run() maps a config to its search. Every
-search reports the same counters:
+incremental QR core. One driver, _search, runs every search: it sets up
+the child step, takes the zero-signal exit, refuses a dictionary whose
+every column is degenerate, names the termination reason and builds the
+result. What differs is the frontier it is given, the function that
+schedules partial paths over the child step _Expansion: _beam (breadth
+first; OMP is the beam with one branch and one surviving path),
+_depth_first and _best_first. In that step, _Expansion.child is the only
+projection of a new support, _Expansion.rank the only way a frontier turns
+a branch rank into a child, and _Expansion.complete the one log of
+finished paths. run() maps a config to its search. Every search reports
+the same counters:
 
 - iterations: rounds in which the search ranked a path's candidate columns
   and grew from them. run_omp and run_mmp_bf count levels that made at
@@ -271,19 +276,25 @@ class _Expansion:
     """The child step shared by every search.
 
     Holds the search's support registry, its explored-node count and, when
-    tracing, the log of projected supports. child() is the only projection
-    of a new support, and rank() the only way a search turns a branch rank
-    into a child; the searches differ only in which ranks they ask for and
-    how they schedule the children.
+    tracing, the logs of projected and of completed supports. child() is the
+    only projection of a new support, and rank() the only way a search turns
+    a branch rank into a child; the searches differ only in which ranks they
+    ask for and how they schedule the children.
     """
 
-    __slots__ = ("a", "trie", "explored", "projected")
+    __slots__ = ("a", "trie", "explored", "projected", "completed")
 
     def __init__(self, a, trace):
         self.a = a
         self.trie = SupportTrie()
         self.explored = 0
         self.projected = [] if trace else None
+        self.completed = [] if trace else None
+
+    def complete(self, fact):
+        """Log fact's support as a finished path; a no-op when not tracing."""
+        if self.completed is not None:
+            self.completed.append(fact.key)
 
     def child(self, fact, col):
         """Child of fact by column col; _DUP for a seen support, None for a degenerate col.
@@ -338,22 +349,38 @@ class _Expansion:
         return out
 
 
-def _finish(fact, iterations, expand, opened, terminated_by, completed):
-    """The result of a search that returns fact; completed lists its finished supports."""
-    est = np.zeros(expand.a.shape[1])
-    est[fact.indices] = fact.coefficients()
-    tr = (None if expand.projected is None
-          else {"projected": expand.projected, "completed": completed})
-    return PursuitResult(est, tuple(fact.indices), fact.residual_norm,
-                         iterations, expand.explored, opened, terminated_by, tr)
+def _search(a, y, rule, trace, frontier, *args):
+    """Run one search: frontier schedules the paths below the root.
 
-
-def _beam(a, y, rule, branch, beam_cap, trace):
-    """The level-synchronous beam behind run_mmp_bf and run_omp."""
+    frontier(expand, root, max_len, eps, *args) grows paths through expand
+    and returns (best, iterations, opened, reason), where reason says why it
+    stopped if best misses the residual target. Everything else is shared:
+    the setup, the zero-signal exit, the refusal of a dictionary whose
+    every column is degenerate, the termination reason and the result.
+    """
     expand, root, max_len, eps = _setup(a, y, rule, trace)
-    if not root.residual.any():
-        return _finish(root, 0, expand, 1, RESIDUAL_MET, [root.key])
+    if root.residual.any():
+        best, iterations, opened, reason = frontier(expand, root, max_len, eps, *args)
+        if not expand.explored:
+            raise DegenerateDictionaryError("every dictionary column is degenerate")
+    else:
+        expand.complete(root)
+        best, iterations, opened, reason = root, 0, 1, RESIDUAL_MET
+    terminated = RESIDUAL_MET if best.residual_norm < eps else reason
+    est = np.zeros(expand.a.shape[1])
+    est[best.indices] = best.coefficients()
+    tr = (None if expand.projected is None
+          else {"projected": expand.projected, "completed": expand.completed})
+    return PursuitResult(est, tuple(best.indices), best.residual_norm,
+                         iterations, expand.explored, opened, terminated, tr)
 
+
+def _residual_order(fact):
+    return fact.residual_norm, fact.key
+
+
+def _beam(expand, root, max_len, eps, branch, beam_cap):
+    """The level-synchronous beam behind run_mmp_bf and run_omp."""
     beam = [root]
     iterations = 0
     opened = 1
@@ -367,22 +394,20 @@ def _beam(a, y, rule, branch, beam_cap, trace):
         iterations += 1
         met = [f for f in children if f.residual_norm < eps]
         if met:
-            best = min(met, key=lambda f: (f.residual_norm, f.key))
-            return _finish(best, iterations, expand, opened, RESIDUAL_MET,
-                           [f.key for f in met])
-        children.sort(key=lambda f: (f.residual_norm, f.key))
+            for f in met:
+                expand.complete(f)
+            return min(met, key=_residual_order), iterations, opened, RESIDUAL_MET
+        children.sort(key=_residual_order)
         beam = children[:beam_cap]
         opened = max(opened, len(beam))
 
-    if expand.explored == 0:
-        raise DegenerateDictionaryError("every dictionary column is degenerate")
     # Either the final level completed (children hold full-length paths) or
-    # the search got stuck early and the surviving beam is all there is.
-    completed = children if children else beam
-    terminated = SPARSITY_MET if children else PATH_BUDGET_EXHAUSTED
-    best = min(completed, key=lambda f: (f.residual_norm, f.key))
-    return _finish(best, iterations, expand, opened, terminated,
-                   [f.key for f in completed])
+    # the search got stuck early and the surviving beam is all there is;
+    # both are sorted, best first.
+    done = children or beam
+    for f in done:
+        expand.complete(f)
+    return done[0], iterations, opened, SPARSITY_MET if children else PATH_BUDGET_EXHAUSTED
 
 
 def run_omp(a, y, termination, trace=False):
@@ -398,7 +423,7 @@ def run_omp(a, y, termination, trace=False):
     trace : bool
         Attach projected/completed support logs to the result.
     """
-    return _beam(a, y, termination, 1, 1, trace)
+    return _search(a, y, termination, trace, _beam, 1, 1)
 
 
 def run_mmp_bf(a, y, config, trace=False):
@@ -410,8 +435,8 @@ def run_mmp_bf(a, y, config, trace=False):
     """
     if config.algorithm != "mmp-bf":
         raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'mmp-bf'")
-    return _beam(a, y, config.termination, config.branch_factor,
-                 min(config.beam_width, config.max_paths), trace)
+    return _search(a, y, config.termination, trace, _beam, config.branch_factor,
+                   min(config.beam_width, config.max_paths))
 
 
 def _paths(expand, tree, root, total, branch, max_len, eps):
@@ -443,12 +468,29 @@ def _paths(expand, tree, root, total, branch, max_len, eps):
             child = expand.rank(ranks, parent, c) if c <= last else None
             if child is None:
                 stack.pop()
-                if c == 0 and parent.k == 0:
-                    raise DegenerateDictionaryError("every dictionary column is degenerate")
                 if c == 0 and left == 0:  # no candidate at all: stuck, and complete
                     yield parent
             elif child is not _DUP:
                 fact, remaining = child, left - c
+
+
+def _depth_first(expand, root, max_len, eps, branch, max_paths):
+    """The walk behind run_mmp_df: completed paths by nondecreasing branch-rank sum."""
+    tree = {}        # support key -> _Ranks of that node
+    best = None
+    paths = 0
+    # Total 0 walks the greedy path, which completes (the registry then holds
+    # only its shorter prefixes; a root without children completes itself),
+    # so best is set from the first total on.
+    for total in range((branch - 1) * max_len + 1):
+        for fact in _paths(expand, tree, root, total, branch, max_len, eps):
+            paths += 1
+            expand.complete(fact)
+            if best is None or fact.residual_norm < best.residual_norm:
+                best = fact
+            if best.residual_norm < eps or paths == max_paths:
+                return best, len(tree), paths, PATH_BUDGET_EXHAUSTED
+    return best, len(tree), paths, PATH_BUDGET_EXHAUSTED
 
 
 def run_mmp_df(a, y, config, trace=False):
@@ -466,32 +508,57 @@ def run_mmp_df(a, y, config, trace=False):
     """
     if config.algorithm != "mmp-df":
         raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'mmp-df'")
-    expand, root, max_len, eps = _setup(a, y, config.termination, trace)
-    if not root.residual.any():
-        return _finish(root, 0, expand, 1, RESIDUAL_MET, [root.key])
+    return _search(a, y, config.termination, trace, _depth_first,
+                   config.branch_factor, config.max_paths)
 
-    branch = config.branch_factor
-    tree = {}        # support key -> _Ranks of that node
-    completed = []
-    best = None
-    paths = 0
-    for total in range((branch - 1) * max_len + 1):
-        for fact in _paths(expand, tree, root, total, branch, max_len, eps):
-            paths += 1
-            if trace:
-                completed.append(fact.key)
-            if best is None or fact.residual_norm < best.residual_norm:
-                best = fact
-            if best.residual_norm < eps or paths == config.max_paths:
-                break
-        else:
-            continue
-        break
 
-    # best is set: total 0 walks the greedy path, which completes (or the root
-    # raises), since the registry then holds only that path's shorter prefixes.
-    terminated = RESIDUAL_MET if best.residual_norm < eps else PATH_BUDGET_EXHAUSTED
-    return _finish(best, len(tree), expand, paths, terminated, completed)
+def _best_first(expand, root, max_len, eps, config):
+    """The open-set search behind run_aomp."""
+    model = config.cost_model
+    cap = config.max_paths
+    sparsity = config.termination.kind == SPARSITY
+    open_list = []   # (cost, support key, factorization), ascending
+    best_any = root
+    iterations = 0
+    opened = 0
+
+    def push(parent, width):
+        # Open the new children of parent, pruning the open set to the cap.
+        # best_any tracks the best support seen anywhere, even if it is later
+        # pruned. Ties go to the longer path so that collapsing the search to
+        # a single lineage returns the full greedy support; a child's
+        # residual is never above its parent's, so the first child beats
+        # the root.
+        nonlocal best_any, opened
+        for child in expand.children(parent, width):
+            if (child.residual_norm < best_any.residual_norm
+                    or (child.residual_norm == best_any.residual_norm
+                        and child.k > best_any.k)):
+                best_any = child
+            if child.residual_norm < eps or child.k == max_len:
+                expand.complete(child)
+            cost = path_cost(child.residual_norm, child.k, max_len, model,
+                             parent.residual_norm)
+            insort(open_list, (cost, child.key, child))
+            if len(open_list) > cap:
+                open_list.pop()
+        opened = max(opened, len(open_list))
+
+    push(root, config.init_paths)
+    while open_list:
+        _cost, _key, fact = open_list.pop(0)
+        if fact.residual_norm < eps or (sparsity and fact.k == max_len):
+            if best_any.residual_norm < fact.residual_norm:
+                fact = best_any
+            return fact, iterations, opened, SPARSITY_MET
+        if fact.k == max_len:
+            continue  # residual rule: capped path that missed, a dead end
+        iterations += 1
+        push(fact, config.expand_branches)
+
+    # Open set exhausted: every live path ended at the cap, a duplicate, or
+    # a degenerate column. Fall back to the best support seen anywhere.
+    return best_any, iterations, opened, PATH_BUDGET_EXHAUSTED
 
 
 def run_aomp(a, y, config, trace=False):
@@ -507,61 +574,7 @@ def run_aomp(a, y, config, trace=False):
     """
     if config.algorithm != "aomp":
         raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'aomp'")
-    rule = config.termination
-    expand, root, max_len, eps = _setup(a, y, rule, trace)
-    if not root.residual.any():
-        return _finish(root, 0, expand, 1, RESIDUAL_MET, [root.key])
-
-    model = config.cost_model
-    cap = config.max_paths
-    open_list = []   # (cost, support key, factorization), ascending
-    completed_keys = []
-    best_any = None
-    iterations = 0
-    opened = 0
-
-    def push(parent, width):
-        # Open the new children of parent, pruning the open set to the cap.
-        # best_any tracks the best support seen anywhere, even if it is later
-        # pruned. Ties go to the longer path so that collapsing the search to
-        # a single lineage returns the full greedy support.
-        nonlocal best_any, opened
-        for child in expand.children(parent, width):
-            if (best_any is None
-                    or child.residual_norm < best_any.residual_norm
-                    or (child.residual_norm == best_any.residual_norm
-                        and child.k > best_any.k)):
-                best_any = child
-            if trace and (child.residual_norm < eps or child.k == max_len):
-                completed_keys.append(child.key)
-            cost = path_cost(child.residual_norm, child.k, max_len, model,
-                             parent.residual_norm)
-            insort(open_list, (cost, child.key, child))
-            if len(open_list) > cap:
-                open_list.pop()
-        opened = max(opened, len(open_list))
-
-    push(root, config.init_paths)
-    if not open_list:
-        raise DegenerateDictionaryError("every dictionary column is degenerate")
-
-    while open_list:
-        _cost, _key, fact = open_list.pop(0)
-        if fact.residual_norm < eps or (rule.kind == SPARSITY and fact.k == max_len):
-            trigger = RESIDUAL_MET if fact.residual_norm < eps else SPARSITY_MET
-            if best_any.residual_norm < fact.residual_norm:
-                fact = best_any
-            terminated = RESIDUAL_MET if fact.residual_norm < eps else trigger
-            return _finish(fact, iterations, expand, opened, terminated, completed_keys)
-        if fact.k == max_len:
-            continue  # residual rule: capped path that missed, a dead end
-        iterations += 1
-        push(fact, config.expand_branches)
-
-    # Open set exhausted: every live path ended at the cap, a duplicate, or
-    # a degenerate column. Fall back to the best support seen anywhere.
-    terminated = RESIDUAL_MET if best_any.residual_norm < eps else PATH_BUDGET_EXHAUSTED
-    return _finish(best_any, iterations, expand, opened, terminated, completed_keys)
+    return _search(a, y, config.termination, trace, _best_first, config)
 
 
 def run(a, y, config, trace=False):

@@ -156,14 +156,6 @@ def test_omp_identity_example():
     assert res.iterations == 1
 
 
-def test_omp_zero_signal():
-    res = run_omp(np.eye(4), np.zeros(4), TerminationRule.sparsity(2))
-    assert res.terminated_by == RESIDUAL_MET
-    assert res.iterations == 0
-    assert res.support == ()
-    np.testing.assert_array_equal(res.estimate, np.zeros(4))
-
-
 def test_omp_recovers_on_orthonormal():
     rng = np.random.default_rng(9)
     from _oracles import random_orthonormal
@@ -216,10 +208,26 @@ def _search(algorithm, a, y, rule, trace=False):
     return run(a, y, PursuitConfig(algorithm, rule), trace=trace)
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_zero_signal(algorithm):
+    # The empty support already meets any residual target: no search runs.
+    res = _search(algorithm, np.eye(4), np.zeros(4), TerminationRule.sparsity(2),
+                  trace=True)
+    assert res.terminated_by == RESIDUAL_MET
+    assert res.iterations == 0
+    assert res.explored_nodes == 0
+    assert res.paths_opened == 1
+    assert res.support == ()
+    np.testing.assert_array_equal(res.estimate, np.zeros(4))
+    assert res.trace["completed"] == [()]
+    assert res.trace["projected"] == []
+
+
 @pytest.mark.parametrize("algorithm", ["omp", "mmp-bf", "mmp-df", "aomp"])
 def test_omp_degenerate_dictionary_raises(algorithm):
     a = np.zeros((3, 4))
-    with pytest.raises(DegenerateDictionaryError):
+    with pytest.raises(DegenerateDictionaryError,
+                       match="every dictionary column is degenerate"):
         _search(algorithm, a, np.ones(3), TerminationRule.sparsity(1))
 
 
@@ -408,13 +416,6 @@ def test_mmp_df_budget_and_dedup():
     assert res.residual_norm == pytest.approx(best, abs=1e-8)
 
 
-def test_mmp_df_zero_signal():
-    res = run_mmp_df(np.eye(4), np.zeros(4),
-                     _df_config(TerminationRule.sparsity(2)))
-    assert res.terminated_by == RESIDUAL_MET
-    assert res.support == ()
-
-
 # --- A*OMP -------------------------------------------------------------------
 
 def _aomp_config(rule, **kw):
@@ -485,13 +486,6 @@ def test_aomp_no_duplicate_projections():
                                       max_paths=30), trace=True)
     logged = res.trace["projected"]
     assert len(logged) == len(set(logged))
-
-
-def test_aomp_zero_signal():
-    res = run_aomp(np.eye(4), np.zeros(4),
-                   _aomp_config(TerminationRule.sparsity(2)))
-    assert res.terminated_by == RESIDUAL_MET
-    assert res.iterations == 0
 
 
 def test_aomp_adaptive_orthonormal_recovers():
