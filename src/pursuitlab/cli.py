@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .benchlab import emit_report, reference_configs, run_sweep
+from .benchlab import DEFAULT_EXACT_TOL, emit_report, reference_configs, run_sweep
 from .linalg import DegenerateColumnError
 from .pursuit import (
     ADAPTIVE_MULTIPLICATIVE,
@@ -28,7 +28,7 @@ from .pursuit import (
     TerminationRule,
     run,
 )
-from .ripcert import compute_ric, lemma1_bounds
+from .ripcert import DEFAULT_SUBSET_CAP, compute_ric, lemma1_bounds
 
 __all__ = ["main"]
 
@@ -76,6 +76,13 @@ def _write_vector(path, vec):
         fh.write(f"{vec.shape[0]} 1\n")
         for v in vec:
             fh.write(f"{v:.17g}\n")
+
+
+def _write_json(path, doc, what):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    print(f"{what} written to {path}")
 
 
 def _check_writable(*paths):
@@ -203,10 +210,7 @@ def _cmd_rip(args):
                "delta": float(f"{cert.delta:.12g}"),
                "extremal_subset": list(cert.extremal_subset),
                "matrix_digest": cert.matrix_digest}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"certificate written to {args.json}")
+        _write_json(args.json, doc, "certificate")
     return 0
 
 
@@ -221,10 +225,7 @@ def _cmd_bounds(args):
         doc = {"k": args.k, "l": args.l,
                "bound_loose": float(f"{pair.bound_loose:.12g}"),
                "bound_tight": float(f"{pair.bound_tight:.12g}")}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"bounds written to {args.json}")
+        _write_json(args.json, doc, "bounds")
     return 0
 
 
@@ -300,9 +301,9 @@ def _build_parser():
                           "configurations (default 1e-6)")
     ben.add_argument("--kmax", type=int, default=55,
                      help="residual-rule support cap (default 55)")
-    ben.add_argument("--exact-tol", type=float, default=1e-2,
+    ben.add_argument("--exact-tol", type=float, default=DEFAULT_EXACT_TOL,
                      help="relative error below which recovery counts as "
-                          "exact (default 1e-2)")
+                          f"exact (default {DEFAULT_EXACT_TOL:g})")
     ben.add_argument("--jobs", type=int, default=1,
                      help="worker processes, at most one per CPU core; the "
                           "report is identical for any value except "
@@ -330,9 +331,9 @@ def _build_parser():
                           "(default: s-1)")
     rip.add_argument("--l", type=int, default=None,
                      help="branch part of the (k, l) split (default: 1)")
-    rip.add_argument("--cap", type=int, default=2_000_000,
+    rip.add_argument("--cap", type=int, default=DEFAULT_SUBSET_CAP,
                      help="refuse enumerations beyond this many subsets "
-                          "(default 2000000)")
+                          f"(default {DEFAULT_SUBSET_CAP})")
     rip.add_argument("--json", default=None,
                      help="optional certificate JSON output path")
     rip.set_defaults(func=_cmd_rip)

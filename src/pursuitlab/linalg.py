@@ -40,105 +40,77 @@ def as_vector(y):
     return v
 
 
-class _Columns:
-    """Capacity-width q/qty storage, plus one R record per column, shared by
-    factorizations with a common prefix.
-
-    Column k's record is (w, unorm): w holds the new column's coordinates on
-    q[:, :k], R's entries above the diagonal, and unorm the diagonal entry.
-    Columns [0, fill) and their records are written once and never change
-    afterwards, so every factorization whose first columns are these can
-    read them in place; a private copy of the prefix copies q and qty and
-    shares the records.
-    """
-
-    __slots__ = ("q", "qty", "records")
-
-    def __init__(self, rows, capacity):
-        self.q = np.empty((rows, capacity), dtype=np.float64, order="F")
-        self.qty = np.zeros(capacity, dtype=np.float64)
-        self.records = []
-
-    @property
-    def fill(self):
-        return len(self.records)
-
-    def claim(self, k, u, w, unorm, c):
-        """Write column k, the first free slot."""
-        self.q[:, k] = u
-        self.qty[k] = c
-        self.records.append((w, unorm))
-
-    def r(self, k):
-        """The dense upper-triangular k x k factor of the first k columns."""
-        r = np.zeros((k, k), dtype=np.float64)
-        records = self.records
-        for j in range(k):
-            w, unorm = records[j]
-            r[:j, j] = w
-            r[j, j] = unorm
-        return r
-
-
 class IncrementalFactorization:
     """QR factorization of a growing column selection.
 
-    Tracks the selected column indices in append order (the column order of
-    q), their support key (the same indices as a sorted tuple), an
-    orthonormal basis q of their span, the triangular factor r, the
-    projections qty = q.T @ y, and the residual of y against the span. One
-    append costs O(rows * size) instead of a dense re-solve. r is kept as
-    one record per column and built as a dense k x k array only when read
-    and when solving, so a buffer holds no capacity x capacity array.
+    Each appended column is one immutable record (j, w, unorm, c): its
+    dictionary column j, its coordinates w on the earlier basis columns (the
+    entries of r above the diagonal), the diagonal entry unorm and the
+    projection c = q[:, k].T @ y. Besides the records in append order, a
+    factorization tracks their support key (the same columns as a sorted
+    tuple), an orthonormal basis q of their span and the residual of y
+    against the span. One append costs O(rows * size) instead of a dense
+    re-solve. indices, r and qty are built from the records when read, so
+    q is the only buffer and reading a factorization never writes to it.
 
     Instances are mutable; branch a search path by calling copy() first.
-    A copy shares its source's q/qty buffer, R records, immutable key and
-    residual, and owns only its index list, so it costs O(size). append
+    A copy shares q, the record list, the immutable key and the residual,
+    and copies nothing. Factorizations with a common prefix share one q
+    buffer and one record list, of which the first k columns and records are
+    theirs; written columns and records never change. An append at slot k
+    claims it, writing q[:, k] and appending its record, iff the shared list
+    holds exactly k records. Otherwise its column stays pending beside the
+    shared state, and the factorization moves its prefix into a private q
+    and record list only when it is copied or appended to; until then
+    q[:, k-1] belongs to whichever factorization claimed that slot. append
     never writes a residual in place: it binds a new array, so a shared
-    residual never changes under another factorization. An append builds
-    the child key with one sorted insertion. The first factorization to
-    append to a shared buffer at slot k claims that slot and writes there;
-    written slots never change. A later append at a claimed slot keeps its
-    column pending beside the buffer, and the factorization copies q and
-    qty into a private buffer, sharing the records of its prefix, only
-    when it is copied, appended to or solved. Until then column k-1 of q,
-    r and qty belongs to whichever factorization claimed it.
+    residual never changes under another factorization.
     """
 
-    __slots__ = ("k", "indices", "key", "cols", "pending", "residual",
+    __slots__ = ("k", "key", "q", "records", "pending", "residual",
                  "residual_norm")
 
     def __init__(self, rows, capacity, y):
         self.k = 0
-        self.indices = []
         self.key = ()
-        self.cols = _Columns(rows, capacity)
-        self.pending = None     # (u, w, unorm, c) of column k-1 when unslotted
+        self.q = np.empty((rows, capacity), dtype=np.float64, order="F")
+        self.records = []
+        self.pending = None     # (u, record) of column k-1 when unslotted
         self.residual = y.copy()
         self.residual_norm = math.sqrt(float(y @ y))
 
+    def _columns(self):
+        # The records of this factorization's k columns, in append order.
+        if self.pending is None:
+            return self.records[:self.k]
+        return self.records[:self.k - 1] + [self.pending[1]]
+
     @property
-    def q(self):
-        return self.cols.q
+    def indices(self):
+        return [rec[0] for rec in self._columns()]
 
     @property
     def r(self):
-        return self.cols.r(self.k)
+        """The dense upper-triangular k x k factor."""
+        r = np.zeros((self.k, self.k), dtype=np.float64)
+        for i, (_j, w, unorm, _c) in enumerate(self._columns()):
+            r[:i, i] = w
+            r[i, i] = unorm
+        return r
 
     @property
     def qty(self):
-        return self.cols.qty
+        return np.array([rec[3] for rec in self._columns()], dtype=np.float64)
 
     def _own(self):
-        # Move the shared prefix and the pending column into a private buffer.
+        # Move the shared prefix and the pending column into a private q and record list.
         k = self.k - 1
-        old = self.cols
-        cols = _Columns(*old.q.shape)
-        cols.q[:, :k] = old.q[:, :k]
-        cols.qty[:k] = old.qty[:k]
-        cols.records = old.records[:k]
-        cols.claim(k, *self.pending)
-        self.cols = cols
+        u, record = self.pending
+        q = np.empty(self.q.shape, dtype=np.float64, order="F")
+        q[:, :k] = self.q[:, :k]
+        q[:, k] = u
+        self.q = q
+        self.records = self.records[:k] + [record]
         self.pending = None
 
     def copy(self):
@@ -146,9 +118,9 @@ class IncrementalFactorization:
             self._own()
         new = IncrementalFactorization.__new__(IncrementalFactorization)
         new.k = self.k
-        new.indices = list(self.indices)
         new.key = self.key
-        new.cols = self.cols
+        new.q = self.q
+        new.records = self.records
         new.pending = None
         new.residual = self.residual
         new.residual_norm = self.residual_norm
@@ -156,7 +128,7 @@ class IncrementalFactorization:
 
     def append(self, a, j):
         """Append column j of a; raises DegenerateColumnError before any state changes."""
-        rows, capacity = self.cols.q.shape
+        rows, capacity = self.q.shape
         if a.shape[0] != rows:
             raise ValueError(f"row mismatch: matrix has {a.shape[0]} rows, factorization has {rows}")
         if not 0 <= j < a.shape[1]:
@@ -170,12 +142,11 @@ class IncrementalFactorization:
             self._own()
 
         k = self.k
-        cols = self.cols
         v = a[:, j]
         vnorm2 = float(v.dot(v))
         if vnorm2 == 0.0:
             raise DegenerateColumnError(f"column {j} is zero")
-        qk = cols.q[:, :k]
+        qk = self.q[:, :k]
         w = qk.T.dot(v)
         u = v - qk.dot(w)
         unorm2 = float(u.dot(u))
@@ -191,27 +162,26 @@ class IncrementalFactorization:
         unorm = math.sqrt(unorm2)
         u /= unorm
         c = float(u.dot(self.residual))
-        if cols.fill == k:
-            cols.claim(k, u, w, unorm, c)
+        record = (j, w, unorm, c)
+        if len(self.records) == k:
+            self.q[:, k] = u
+            self.records.append(record)
         else:
-            self.pending = (u, w, unorm, c)
+            self.pending = (u, record)
         # A new array, never an in-place update: copies share the residual.
         self.residual = residual = self.residual - c * u
         # A projection cannot lengthen the residual; clamp away rounding noise.
         self.residual_norm = min(self.residual_norm,
                                  math.sqrt(float(residual.dot(residual))))
-        self.indices.append(j)
         self.key = self.key[:pos] + (j,) + self.key[pos:]
         self.k = k + 1
         return self
 
     def coefficients(self):
         """Solve for the least-squares coefficients of the selected columns."""
-        if self.pending is not None:
-            self._own()
         k = self.k
-        r = self.cols.r(k)
-        x = self.cols.qty[:k].copy()
+        r = self.r
+        x = self.qty
         for i in range(k - 1, -1, -1):
             if r[i, i] == 0.0:
                 raise ValueError("singular triangular factor")

@@ -90,6 +90,11 @@ def test_sparse_problem_validation():
         SparseProblem(a, x, a @ x, sparsity=2, seed=0)  # nonzero count lies
     with pytest.raises(ValueError):
         SparseProblem(a, x, a @ x + 0.1, sparsity=1, seed=0)  # y != a @ x
+    tall = np.eye(6)[:, :4]
+    for dictionary, sparsity in ((tall, 1), (a, 6), (a, 0)):
+        with pytest.raises(ValueError, match="need cols >= rows > sparsity >= 1"):
+            SparseProblem(dictionary, x[:dictionary.shape[1]],
+                          dictionary @ x[:dictionary.shape[1]], sparsity=sparsity, seed=0)
 
 
 def test_derive_trial_seed_stable():
@@ -180,6 +185,21 @@ def test_sweep_singleton_mean():
     tr = run_trial(problem, _tiny_configs()[0])
     assert cell.anmse == pytest.approx(tr.nmse, abs=1e-15)
     assert cell.exact_rate in (0.0, 1.0)
+
+
+def test_sweep_echoes_each_config_with_its_own_knobs():
+    configs = [PursuitConfig("mmp-bf", TerminationRule.sparsity(None),
+                             branch_factor=3, beam_width=2, max_paths=5, label="bf"),
+               _tiny_configs()[0]]
+    report = run_sweep(24, 12, [2], 1, configs, global_seed=4)
+    assert report.configs == (
+        {"algorithm": "mmp-bf", "label": "bf",
+         "termination": {"kind": "sparsity", "k": None, "solution_eps": 1e-6},
+         "max_paths": 5, "branch_factor": 3, "beam_width": 2},
+        {"algorithm": "omp", "label": "omp-k",
+         "termination": {"kind": "sparsity", "k": None, "solution_eps": 1e-6},
+         "max_paths": 200},
+    )
 
 
 def test_sweep_paired_problems_and_log(tmp_path):

@@ -102,6 +102,32 @@ def test_recover_input_errors(identity_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3\n", "missing 'rows cols' header"),
+    ("2 2\n1.0 x 3.0 4.0\n", "could not convert string to float: 'x'"),
+    ("2 two\n1.0 2.0\n", "invalid literal for int()"),
+    ("0 3\n", "bad dimensions 0 x 3"),
+    ("2 -1\n1.0\n", "bad dimensions 2 x -1"),
+], ids=["no-header", "bad-entry", "non-integer-header", "zero-rows", "negative-cols"])
+def test_malformed_matrix_file_exits_one(tmp_path, capsys, text, message):
+    mat = tmp_path / "bad.txt"
+    mat.write_text(text)
+    assert main(["rip", str(mat), "--s", "2"]) == 1
+    err = capsys.readouterr().err
+    assert f"{mat}: {message}" in err
+
+
+def test_recover_refuses_a_matrix_signal(identity_files, tmp_path, capsys):
+    mat, _sig = identity_files
+    sig = tmp_path / "square.txt"
+    _write_array(sig, np.ones((2, 2)))
+    out = tmp_path / "est.txt"
+    assert main(["recover", str(mat), str(sig), "--alg", "omp", "--k", "1",
+                 "--output", str(out)]) == 1
+    assert f"{sig}: expected a vector, got shape (2, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_recover_degenerate_exit_code(tmp_path, capsys):
     mat, sig = tmp_path / "z.txt", tmp_path / "y.txt"
     _write_array(mat, np.zeros((3, 4)))
@@ -225,6 +251,23 @@ def test_bench_bad_k_range(tmp_path, capsys):
                  "--json", str(tmp_path / "x.json")])
     assert code == 1
     capsys.readouterr()
+    code = main(["bench", "--k", "10:5", "--trials", "1",
+                 "--csv", str(tmp_path / "x.csv"),
+                 "--json", str(tmp_path / "x.json")])
+    assert code == 1
+    assert "bad sparsity range '10:5'; use start:step:stop" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_bench_k_range_expands_inclusively(tmp_path, capsys):
+    assert cli._parse_k_values("10:5:50") == [10, 15, 20, 25, 30, 35, 40, 45, 50]
+    assert cli._parse_k_values("3:2:6") == [3, 5]
+    code = main(["bench", "--n", "24", "--m", "12", "--k", "2:1:3", "--trials", "1",
+                 "--csv", str(tmp_path / "r.csv"), "--json", str(tmp_path / "r.json")])
+    assert code == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert [c["K"] for c in doc["cells"]] == [2] * 4 + [3] * 4
 
 
 # --- rip / bounds --------------------------------------------------------------------
@@ -259,6 +302,13 @@ def test_rip_split_validation(tmp_path, capsys):
     assert main(["rip", str(mat), "--s", "3", "--k", "3", "--l", "2"]) == 1
     assert main(["rip", str(mat), "--s", "4", "--k", "2", "--l", "2"]) == 0
     capsys.readouterr()
+
+
+def test_rip_refuses_a_subset_size_it_cannot_split(tmp_path, capsys):
+    mat = tmp_path / "q.txt"
+    _write_array(mat, np.eye(5))
+    assert main(["rip", str(mat), "--s", "1"]) == 1
+    assert "--s must be at least 2 to split into k and l" in capsys.readouterr().err
 
 
 def test_rip_rejects_bad_split_before_enumerating(tmp_path, capsys,

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pursuitlab.linalg import DegenerateColumnError, factor_init
+from pursuitlab.linalg import DegenerateColumnError, as_vector, factor_init
 from pursuitlab.pursuit import _by_rank, _ranked
 
 from _oracles import ranked_reference
@@ -316,7 +316,7 @@ def test_copy_is_independent():
 def test_copy_shares_the_residual_and_allocates_less_than_one():
     rows = 400
     rng = np.random.default_rng(12)
-    a = np.asfortranarray(rng.standard_normal((rows, 60)))
+    a = np.asfortranarray(rng.standard_normal((rows, 160)))
     f = factor_init(a, rng.standard_normal(rows))
     for j in range(5):
         f.append(a, j)
@@ -327,14 +327,24 @@ def test_copy_shares_the_residual_and_allocates_less_than_one():
     # The child bound a new residual; its source's is untouched.
     assert g.residual is not f.residual
     np.testing.assert_array_equal(f.residual, residual)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        f.copy()
-        allocated = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert allocated < 8 * rows, allocated
+
+    def copy_bytes(f):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            f.copy()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    shallow = copy_bytes(f)
+    for j in range(10, 155):
+        f.append(a, j)
+    assert f.k == 150 and f.pending is None
+    # A copy is one object that shares everything else: its size does not
+    # grow with the number of columns.
+    deep = copy_bytes(f)
+    assert deep == shallow < 128, (deep, shallow)
 
 
 def test_solve_rejects_singular_factor():
@@ -342,8 +352,8 @@ def test_solve_rejects_singular_factor():
     f = factor_init(a, np.ones(2))
     f.append(a, 0)
     # r is built from the per-column records, so zero the stored diagonal.
-    w, _unorm = f.cols.records[0]
-    f.cols.records[0] = (w, 0.0)
+    j, w, _unorm, c = f.records[0]
+    f.records[0] = (j, w, 0.0, c)
     assert f.r[0, 0] == 0.0
     with pytest.raises(ValueError):
         f.coefficients()
@@ -358,6 +368,10 @@ def test_init_validates_inputs():
         factor_init(np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
         factor_init(np.ones((2, 2)), np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match=r"expected a 1-d vector, got shape \(2, 2\)"):
+        as_vector(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="capacity must be at least 1"):
+        factor_init(np.ones((2, 2)), np.ones(2), capacity=0)
 
 
 def replay(a, y, indices, capacity):
@@ -368,18 +382,14 @@ def replay(a, y, indices, capacity):
 
 
 def own_columns(f):
-    # q, r and qty of f's k columns, read without settling a pending column.
+    # q, r and qty of f's k columns, read without settling a pending column:
+    # r and qty are built on read from f's own records, a pending one too.
     k = f.k
     q = f.q[:, :k].copy()
-    r = f.r                      # built on read: a fresh k x k array
-    qty = f.qty[:k].copy()
     if f.pending is not None:
-        u, w, unorm, c = f.pending
+        u, _record = f.pending
         q[:, k - 1] = u
-        r[:k - 1, k - 1] = w
-        r[k - 1, k - 1] = unorm
-        qty[k - 1] = c
-    return q, r, qty
+    return q, f.r, f.qty
 
 
 def assert_matches_replay(f, a, y, capacity):
@@ -389,7 +399,7 @@ def assert_matches_replay(f, a, y, capacity):
     assert r.shape == want.r.shape == (k, k)
     np.testing.assert_array_equal(q, want.q[:, :k])
     np.testing.assert_array_equal(r, want.r)
-    np.testing.assert_array_equal(qty, want.qty[:k])
+    np.testing.assert_array_equal(qty, want.qty)
     np.testing.assert_array_equal(f.residual, want.residual)
     assert f.residual_norm == want.residual_norm
     assert f.key == tuple(sorted(f.indices))
@@ -397,9 +407,9 @@ def assert_matches_replay(f, a, y, capacity):
 
 def test_shared_buffer_interleavings_match_fresh_replay():
     # Copies share their source's buffer and residual; the first append at
-    # a slot claims it, later ones stay pending until the factor is copied,
-    # appended to or solved. Every live factor must stay bit-identical to a
-    # fresh replay.
+    # a slot claims it, later ones stay pending until the factor is copied
+    # or appended to, and a solve only reads. Every live factor must stay
+    # bit-identical to a fresh replay.
     rng = np.random.default_rng(2024)
     seen = dict.fromkeys(("claim", "pending", "pending_copied", "parent_after_claim",
                           "degenerate_free_slot", "solve_pending", "shared_residual"), 0)
@@ -426,7 +436,8 @@ def test_shared_buffer_interleavings_match_fresh_replay():
                 if f.k == capacity or not free:
                     continue
                 j = int(rng.choice(free))
-                cols, fill, pending, k, key = f.cols, f.cols.fill, f.pending, f.k, f.key
+                q, records, pending, k, key = f.q, f.records, f.pending, f.k, f.key
+                fill = len(records)
                 residual = f.residual.copy()
                 if pending is None and fill > k:
                     seen["parent_after_claim"] += 1
@@ -438,7 +449,7 @@ def test_shared_buffer_interleavings_match_fresh_replay():
                     # No pending column left behind, and no slot claimed.
                     assert f.pending is None
                     if pending is None:
-                        assert f.cols is cols and cols.fill == fill
+                        assert f.q is q and f.records is records and len(records) == fill
                         seen["degenerate_free_slot"] += fill == k
                     continue
                 if f.pending is None:
@@ -447,9 +458,12 @@ def test_shared_buffer_interleavings_match_fresh_replay():
                     seen["pending"] += 1
             elif op < 0.9:
                 seen["solve_pending"] += f.pending is not None
+                q, records, pending, fill = f.q, f.records, f.pending, len(f.records)
                 want = replay(a, y, f.indices, capacity)
                 np.testing.assert_array_equal(f.coefficients(), want.coefficients())
-                assert f.pending is None
+                # A solve reads the records and writes nothing.
+                assert f.q is q and f.records is records and f.pending is pending
+                assert len(records) == fill
             elif len(live) > 1:
                 live.remove(f)
             for g in live:
@@ -471,21 +485,24 @@ def test_copy_shares_the_buffer_and_children_claim_in_order():
     second = parent.copy().append(a, 2)
     # The first child wrote its column into the shared buffer; the second
     # child holds its column pending and copies nothing.
-    assert first.cols is parent.cols and first.pending is None
-    assert second.cols is parent.cols and second.pending is not None
+    for child in (first, second):
+        assert child.q is parent.q and child.records is parent.records
+    assert first.pending is None and second.pending is not None
     grandchild = second.copy().append(a, 3)
     # Expanding the pending child moved it to a private buffer first.
-    assert second.cols is not parent.cols and second.pending is None
-    assert grandchild.cols is second.cols and grandchild.pending is None
-    # The private buffer copied q and qty but shares the prefix's R record.
-    assert second.cols.records[0] is parent.cols.records[0]
+    assert second.q is not parent.q and second.records is not parent.records
+    assert second.pending is None
+    assert grandchild.q is second.q and grandchild.records is second.records
+    assert grandchild.pending is None
+    # The private buffer copied q but shares the prefix's record.
+    assert second.records[0] is parent.records[0]
     for f in (parent, first, second, grandchild):
         assert_matches_replay(f, a, y, 6)
 
 
 def test_private_buffer_allocates_no_capacity_squared_array():
-    # Moving a pending child into its own buffer copies q and qty; its R
-    # prefix is shared records, so nothing of size capacity**2 beyond q.
+    # Moving a pending child into its own buffer copies q; its prefix is
+    # shared records, so nothing of size capacity**2 beyond q.
     rows = capacity = 150
     rng = np.random.default_rng(31)
     a = np.asfortranarray(rng.standard_normal((rows, 200)))
@@ -502,5 +519,6 @@ def test_private_buffer_allocates_no_capacity_squared_array():
         allocated = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert child.pending is None and copied.cols is child.cols
-    assert allocated <= 8 * (rows * capacity + capacity) + 8192, allocated
+    assert child.pending is None
+    assert copied.q is child.q and copied.records is child.records
+    assert allocated <= 8 * rows * capacity + 8192, allocated

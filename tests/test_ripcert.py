@@ -321,6 +321,8 @@ def test_ric_validations():
         compute_ric(np.array([[1e200, 0.0], [0.0, 1.0]]), 1)  # Gram entry inf
     with pytest.raises(ValueError):
         RicCertificate(2, 0.5, (1,), "d")  # subset size mismatch
+    with pytest.raises(ValueError, match="subset_size must be >= 1"):
+        RicCertificate(0, 0.0, (), "d")
     with pytest.raises(ValueError):
         RicCertificate(1, -0.1, (0,), "d")
 
