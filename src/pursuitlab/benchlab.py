@@ -11,15 +11,17 @@ the only nondeterministic field in a report.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .pursuit import (
+    ADAPTIVE_ALPHA,
     ADAPTIVE_MULTIPLICATIVE,
     SPARSITY,
     CostModel,
@@ -48,8 +50,6 @@ __all__ = [
     "emit_report",
 ]
 
-CSV_HEADER = ("K,algorithm,trials,exact_rate,anmse,"
-              "mean_iterations,mean_explored_nodes,mean_wall_time_s")
 SCHEMA_VERSION = 1
 DEFAULT_EXACT_TOL = 1e-2
 
@@ -80,6 +80,8 @@ class SparseProblem:
             raise ValueError("observation is not the dictionary image of signal")
 
 
+# The field order of TrialResult and SweepCell is the report schema: _row
+# gives the trial log's lines and the CSV and JSON cells in that order.
 @dataclass(frozen=True)
 class TrialResult:
     seed: int
@@ -102,6 +104,19 @@ class SweepCell:
     mean_iterations: float
     mean_explored_nodes: float
     mean_wall_time_s: float
+
+
+def _keys(record):
+    """Report keys of a record or record type: its field names in order, sparsity as K."""
+    return ["K" if f.name == "k" else f.name for f in fields(record)]
+
+
+def _row(record):
+    """A TrialResult or SweepCell as its report dict, in field order."""
+    return dict(zip(_keys(record), (getattr(record, f.name) for f in fields(record))))
+
+
+CSV_HEADER = ",".join(_keys(SweepCell))
 
 
 @dataclass(frozen=True)
@@ -193,10 +208,10 @@ def anmse(nmse_values):
     return float(sum(values)) / len(values)
 
 
-def _trial_batch(args):
-    """All configs on one generated problem; the process-pool work unit."""
-    (n, m, k, trial, global_seed, configs, exact_tol,
-     normalize_columns, flat_amplitudes) = args
+def _trial_batch(n, m, global_seed, configs, exact_tol, normalize_columns,
+                 flat_amplitudes, slot):
+    """All configs on the problem of one (k, trial) slot; the process-pool work unit."""
+    k, trial = slot
     problem = gen_problem(n, m, k, derive_trial_seed(global_seed, k, trial),
                           normalize_columns=normalize_columns,
                           flat_amplitudes=flat_amplitudes)
@@ -209,19 +224,19 @@ def _rule_dict(rule):
     return {"kind": rule.kind, "epsilon_rel": rule.epsilon_rel, "k_max": rule.k_max}
 
 
+# The PursuitConfig knobs each search reads beyond its rule and max_paths.
+_KNOBS = {"omp": (), "mmp-bf": ("branch_factor", "beam_width"),
+          "mmp-df": ("branch_factor",),
+          "aomp": ("init_paths", "expand_branches", "cost_model")}
+
+
 def _config_dict(config):
     out = {"algorithm": config.algorithm, "label": config.tag,
            "termination": _rule_dict(config.termination),
            "max_paths": config.max_paths}
-    if config.algorithm in ("mmp-bf", "mmp-df"):
-        out["branch_factor"] = config.branch_factor
-    if config.algorithm == "mmp-bf":
-        out["beam_width"] = config.beam_width
-    if config.algorithm == "aomp":
-        out.update(init_paths=config.init_paths,
-                   expand_branches=config.expand_branches,
-                   cost_model={"kind": config.cost_model.kind,
-                               "alpha": config.cost_model.alpha})
+    for name in _KNOBS[config.algorithm]:
+        value = getattr(config, name)
+        out[name] = asdict(value) if name == "cost_model" else value
     return out
 
 
@@ -256,10 +271,12 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not 0.0 < exact_tol < math.inf:
         raise ValueError(f"exact_tol must be positive and finite, got {exact_tol}")
+    if global_seed < 0:
+        raise ValueError(f"global_seed must be >= 0, got {global_seed}")
 
-    slots = [(n, m, k, t, global_seed, configs, exact_tol,
-              normalize_columns, flat_amplitudes)
-             for k in k_values for t in range(trials_per_k)]
+    batch = functools.partial(_trial_batch, n, m, global_seed, configs, exact_tol,
+                              normalize_columns, flat_amplitudes)
+    slots = [(k, t) for k in k_values for t in range(trials_per_k)]
     if jobs > 1:
         # Imported here, so that importing the package (in every CLI call
         # and every spawned worker) does not load the process pool.
@@ -268,20 +285,15 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
         ctx = multiprocessing.get_context("spawn")
         workers = min(jobs, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            batches = list(pool.map(_trial_batch, slots, chunksize=4))
+            batches = list(pool.map(batch, slots, chunksize=4))
     else:
-        batches = [_trial_batch(slot) for slot in slots]
+        batches = [batch(slot) for slot in slots]
 
     if trial_log is not None:
         with open(trial_log, "w", encoding="utf-8") as fh:
-            for batch in batches:
-                for tr in batch:
-                    fh.write(json.dumps(
-                        {"seed": tr.seed, "K": tr.k, "algorithm": tr.algorithm,
-                         "nmse": tr.nmse, "exact": tr.exact,
-                         "iterations": tr.iterations,
-                         "explored_nodes": tr.explored_nodes,
-                         "wall_time_s": tr.wall_time_s}) + "\n")
+            for trials in batches:
+                for tr in trials:
+                    fh.write(json.dumps(_row(tr)) + "\n")
 
     cells = []
     per_k = trials_per_k
@@ -305,26 +317,23 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
                        cells=tuple(cells))
 
 
-def reference_configs(epsilon_rel=1e-6, k_max=55):
+def reference_configs(epsilon_rel=TerminationRule.epsilon_rel,
+                      k_max=TerminationRule.k_max):
     """The four benchmark configurations of the comparison experiment.
 
     Two best-first searches (fixed-alpha cost with the sparsity rule,
     progress-adaptive cost with the residual rule) and two depth-first
-    searches under the same two rules. Sparsity-rule targets stay
-    unresolved here and bind to each problem's sparsity at trial time.
+    searches under the same two rules. Every other knob is the
+    PursuitConfig, TerminationRule or CostModel default, which are the
+    protocol's values. Sparsity-rule targets stay unresolved here and bind
+    to each problem's sparsity at trial time.
     """
-    aomp = dict(init_paths=3, expand_branches=2, max_paths=200)
     return [
-        PursuitConfig("aomp", TerminationRule.sparsity(None),
-                      cost_model=CostModel(alpha=0.8), label="aomp-k", **aomp),
-        PursuitConfig("aomp", TerminationRule.residual(epsilon_rel, k_max),
-                      cost_model=CostModel(kind=ADAPTIVE_MULTIPLICATIVE,
-                                           alpha=0.97),
-                      label="aomp-e", **aomp),
-        PursuitConfig("mmp-df", TerminationRule.sparsity(None),
-                      branch_factor=6, max_paths=200, label="mmp-df-k"),
-        PursuitConfig("mmp-df", TerminationRule.residual(epsilon_rel, k_max),
-                      branch_factor=6, max_paths=200, label="mmp-df-e"),
+        PursuitConfig("aomp", TerminationRule.sparsity(None), label="aomp-k"),
+        PursuitConfig("aomp", TerminationRule.residual(epsilon_rel, k_max), label="aomp-e",
+                      cost_model=CostModel(ADAPTIVE_MULTIPLICATIVE, ADAPTIVE_ALPHA)),
+        PursuitConfig("mmp-df", TerminationRule.sparsity(None), label="mmp-df-k"),
+        PursuitConfig("mmp-df", TerminationRule.residual(epsilon_rel, k_max), label="mmp-df-e"),
     ]
 
 
@@ -333,22 +342,17 @@ def _sig12(x):
     return float(f"{float(x):.12g}")
 
 
-def _cell_row(cell):
-    return (f"{cell.k},{cell.algorithm},{cell.trials},"
-            f"{cell.exact_rate:.12g},{cell.anmse:.12g},"
-            f"{cell.mean_iterations:.12g},{cell.mean_explored_nodes:.12g},"
-            f"{cell.mean_wall_time_s:.12g}")
-
-
 def emit_report(report, fmt, path=None):
     """Render a sweep report as CSV or JSON; optionally write it to path.
 
     All numbers are serialized at 12 significant digits, so a JSON document
     parses and re-serializes byte-identically.
     """
+    rows = [_row(c) for c in report.cells]
     if fmt == "csv":
-        doc = "\n".join([CSV_HEADER] + [_cell_row(c) for c in report.cells])
-        doc += "\n"
+        doc = "".join(f"{line}\n" for line in [CSV_HEADER] + [
+            ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row.values())
+            for row in rows])
     elif fmt == "json":
         doc = json.dumps({
             "schema_version": SCHEMA_VERSION,
@@ -358,13 +362,8 @@ def emit_report(report, fmt, path=None):
                        "trials_per_k": report.trials_per_k,
                        "exact_tol": _sig12(report.exact_tol),
                        "configurations": list(report.configs)},
-            "cells": [{"K": c.k, "algorithm": c.algorithm, "trials": c.trials,
-                       "exact_rate": _sig12(c.exact_rate),
-                       "anmse": _sig12(c.anmse),
-                       "mean_iterations": _sig12(c.mean_iterations),
-                       "mean_explored_nodes": _sig12(c.mean_explored_nodes),
-                       "mean_wall_time_s": _sig12(c.mean_wall_time_s)}
-                      for c in report.cells]}, indent=2) + "\n"
+            "cells": [{key: _sig12(v) if isinstance(v, float) else v
+                       for key, v in row.items()} for row in rows]}, indent=2) + "\n"
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     if path is not None:

@@ -13,12 +13,14 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .benchlab import DEFAULT_EXACT_TOL, emit_report, reference_configs, run_sweep
+from .benchlab import DEFAULT_EXACT_TOL, _sig12, emit_report, reference_configs, run_sweep
 from .linalg import DegenerateColumnError
 from .pursuit import (
+    ADAPTIVE_ALPHA,
     ADAPTIVE_MULTIPLICATIVE,
     ALGORITHMS,
     MULTIPLICATIVE,
@@ -79,6 +81,8 @@ def _write_vector(path, vec):
 
 
 def _write_json(path, doc, what):
+    """Write a record's field dict, its float values at 12 significant digits."""
+    doc = {key: _sig12(v) if isinstance(v, float) else v for key, v in doc.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -86,7 +90,9 @@ def _write_json(path, doc, what):
 
 
 def _check_writable(*paths):
-    """Refuse an output path that is a directory or lies in a missing one, before any work."""
+    """Refuse, before any work, an output path that is a directory, lies in a
+    missing one, or names the same file as another output."""
+    seen = set()
     for path in paths:
         if path is None:
             continue
@@ -94,6 +100,9 @@ def _check_writable(*paths):
             raise ValueError(f"cannot write {path}: is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"cannot write {path}: no such directory")
+        if os.path.realpath(path) in seen:
+            raise ValueError(f"cannot write {path}: another output goes to the same file")
+        seen.add(os.path.realpath(path))
 
 
 def _parse_k_values(text):
@@ -111,7 +120,10 @@ def _parse_k_values(text):
 
 def _default_seed():
     env = os.environ.get("PURSUIT_LAB_SEED")
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise ValueError(f"PURSUIT_LAB_SEED must be an integer, got {env!r}") from None
 
 
 # --- recover ---------------------------------------------------------------------
@@ -130,7 +142,7 @@ def _cmd_recover(args):
     y = _read_vector(args.signal)
     rule = _termination_from(args)
     alpha = args.alpha if args.alpha is not None else \
-        (0.97 if args.cost == "amul" else 0.8)
+        (ADAPTIVE_ALPHA if args.cost == "amul" else CostModel.alpha)
     kind = ADAPTIVE_MULTIPLICATIVE if args.cost == "amul" else MULTIPLICATIVE
     config = PursuitConfig(args.alg, rule,
                            branch_factor=args.l, beam_width=args.beam,
@@ -152,15 +164,12 @@ def _cmd_recover(args):
 
 def _cmd_bench(args):
     _check_writable(args.csv, args.json, args.trial_log)
-    n = args.n if args.n is not None else 256
-    m = args.m if args.m is not None else 100
-    k_text = args.k if args.k is not None else "10:5:50"
     trials = args.trials if args.trials is not None else \
         (500 if args.reference_defaults else 100)
-    k_values = _parse_k_values(k_text)
+    k_values = _parse_k_values(args.k)
     configs = reference_configs(epsilon_rel=args.eps, k_max=args.kmax)
     seed = args.seed if args.seed is not None else _default_seed()
-    report = run_sweep(n, m, k_values, trials, configs, seed,
+    report = run_sweep(args.n, args.m, k_values, trials, configs, seed,
                        exact_tol=args.exact_tol, jobs=args.jobs,
                        trial_log=args.trial_log,
                        normalize_columns=args.normalize_columns,
@@ -206,11 +215,7 @@ def _cmd_rip(args):
     print(f"split: k={k} l={l}")
     _print_bound_checks(cert.delta, pair)
     if args.json:
-        doc = {"subset_size": cert.subset_size,
-               "delta": float(f"{cert.delta:.12g}"),
-               "extremal_subset": list(cert.extremal_subset),
-               "matrix_digest": cert.matrix_digest}
-        _write_json(args.json, doc, "certificate")
+        _write_json(args.json, asdict(cert), "certificate")
     return 0
 
 
@@ -222,10 +227,7 @@ def _cmd_bounds(args):
     # lemma1_bounds refuses a pair whose thresholds float64 cannot order.
     print("ordering (loose > tight): PASS")
     if args.json:
-        doc = {"k": args.k, "l": args.l,
-               "bound_loose": float(f"{pair.bound_loose:.12g}"),
-               "bound_tight": float(f"{pair.bound_tight:.12g}")}
-        _write_json(args.json, doc, "bounds")
+        _write_json(args.json, asdict(pair), "bounds")
     return 0
 
 
@@ -253,41 +255,41 @@ def _build_parser():
     rec.add_argument("--eps", type=float, default=None,
                      help="residual-rule threshold relative to the "
                           "observation norm")
-    rec.add_argument("--kmax", type=int, default=55,
+    rec.add_argument("--kmax", type=int, default=TerminationRule.k_max,
                      help="support-size cap under the residual rule "
-                          "(default 55)")
-    rec.add_argument("--l", type=int, default=6,
+                          "(default %(default)s)")
+    rec.add_argument("--l", type=int, default=PursuitConfig.branch_factor,
                      help="children ranked per expanded path, depth/breadth "
-                          "search (default 6)")
-    rec.add_argument("--beam", type=int, default=4,
+                          "search (default %(default)s)")
+    rec.add_argument("--beam", type=int, default=PursuitConfig.beam_width,
                      help="surviving paths per level, breadth search "
-                          "(default 4)")
-    rec.add_argument("--i", type=int, default=3,
-                     help="initial paths, best-first search (default 3)")
-    rec.add_argument("--b", type=int, default=2,
+                          "(default %(default)s)")
+    rec.add_argument("--i", type=int, default=PursuitConfig.init_paths,
+                     help="initial paths, best-first search (default %(default)s)")
+    rec.add_argument("--b", type=int, default=PursuitConfig.expand_branches,
                      help="children per expansion, best-first search "
-                          "(default 2)")
-    rec.add_argument("--max-paths", type=int, default=200,
-                     help="path budget / open-set cap (default 200)")
+                          "(default %(default)s)")
+    rec.add_argument("--max-paths", type=int, default=PursuitConfig.max_paths,
+                     help="path budget / open-set cap (default %(default)s)")
     rec.add_argument("--cost", choices=["mul", "amul"], default="mul",
                      help="best-first cost model: fixed decay or "
-                          "progress-adaptive decay (default mul)")
+                          "progress-adaptive decay (default %(default)s)")
     rec.add_argument("--alpha", type=float, default=None,
-                     help="cost decay per remaining level (default 0.8 for "
-                          "mul, 0.97 for amul)")
+                     help="cost decay per remaining level (default "
+                          f"{CostModel.alpha} for mul, {ADAPTIVE_ALPHA} for amul)")
     rec.add_argument("--output", default="estimate.txt",
-                     help="estimate output file (default estimate.txt)")
+                     help="estimate output file (default %(default)s)")
     rec.set_defaults(func=_cmd_recover)
 
     ben = sub.add_parser("bench", help="run a paired Monte-Carlo sweep of "
                                        "the four benchmark configurations")
-    ben.add_argument("--n", type=int, default=None,
-                     help="dictionary columns (default 256)")
-    ben.add_argument("--m", type=int, default=None,
-                     help="dictionary rows (default 100)")
-    ben.add_argument("--k", default=None,
+    ben.add_argument("--n", type=int, default=256,
+                     help="dictionary columns (default %(default)s)")
+    ben.add_argument("--m", type=int, default=100,
+                     help="dictionary rows (default %(default)s)")
+    ben.add_argument("--k", default="10:5:50",
                      help="sparsity grid: one value, a comma list, or "
-                          "start:step:stop (default 10:5:50)")
+                          "start:step:stop (default %(default)s)")
     ben.add_argument("--trials", type=int, default=None,
                      help="trials per sparsity level (default 100)")
     ben.add_argument("--reference-defaults", action="store_true",
@@ -296,22 +298,22 @@ def _build_parser():
     ben.add_argument("--seed", type=int, default=None,
                      help="global seed (default: PURSUIT_LAB_SEED or "
                           f"{DEFAULT_SEED})")
-    ben.add_argument("--eps", type=float, default=1e-6,
+    ben.add_argument("--eps", type=float, default=TerminationRule.epsilon_rel,
                      help="residual-rule threshold for the *-e "
-                          "configurations (default 1e-6)")
-    ben.add_argument("--kmax", type=int, default=55,
-                     help="residual-rule support cap (default 55)")
+                          "configurations (default %(default)s)")
+    ben.add_argument("--kmax", type=int, default=TerminationRule.k_max,
+                     help="residual-rule support cap (default %(default)s)")
     ben.add_argument("--exact-tol", type=float, default=DEFAULT_EXACT_TOL,
                      help="relative error below which recovery counts as "
-                          f"exact (default {DEFAULT_EXACT_TOL:g})")
+                          "exact (default %(default)s)")
     ben.add_argument("--jobs", type=int, default=1,
                      help="worker processes, at most one per CPU core; the "
                           "report is identical for any value except "
-                          "wall-time means (default 1)")
+                          "wall-time means (default %(default)s)")
     ben.add_argument("--csv", default="bench.csv",
-                     help="CSV report path (default bench.csv)")
+                     help="CSV report path (default %(default)s)")
     ben.add_argument("--json", default="bench.json",
-                     help="JSON report path (default bench.json)")
+                     help="JSON report path (default %(default)s)")
     ben.add_argument("--trial-log", default=None,
                      help="optional JSON-lines per-trial log path")
     ben.add_argument("--normalize-columns", action="store_true",
@@ -333,7 +335,7 @@ def _build_parser():
                      help="branch part of the (k, l) split (default: 1)")
     rip.add_argument("--cap", type=int, default=DEFAULT_SUBSET_CAP,
                      help="refuse enumerations beyond this many subsets "
-                          f"(default {DEFAULT_SUBSET_CAP})")
+                          "(default %(default)s)")
     rip.add_argument("--json", default=None,
                      help="optional certificate JSON output path")
     rip.set_defaults(func=_cmd_rip)

@@ -35,7 +35,7 @@ from .linalg import (
 )
 
 __all__ = [
-    "SPARSITY", "RESIDUAL", "MULTIPLICATIVE", "ADAPTIVE_MULTIPLICATIVE",
+    "SPARSITY", "RESIDUAL", "MULTIPLICATIVE", "ADAPTIVE_MULTIPLICATIVE", "ADAPTIVE_ALPHA",
     "RESIDUAL_MET", "SPARSITY_MET", "PATH_BUDGET_EXHAUSTED", "ALGORITHMS",
     "DegenerateDictionaryError", "TerminationRule", "CostModel",
     "PursuitConfig", "PursuitResult", "SupportTrie", "path_cost",
@@ -47,6 +47,9 @@ RESIDUAL = "residual"
 
 MULTIPLICATIVE = "multiplicative"
 ADAPTIVE_MULTIPLICATIVE = "adaptive-multiplicative"
+# The adaptive-multiplicative decay of the reference protocol; the plain
+# multiplicative one is CostModel's default alpha.
+ADAPTIVE_ALPHA = 0.97
 
 RESIDUAL_MET = "residual_met"
 SPARSITY_MET = "sparsity_met"

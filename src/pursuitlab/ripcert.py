@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -214,15 +215,9 @@ def _may_win(bound, best):
 
 def _combinations(m, k):
     """Every k-subset of range(m) as a row of an intp array, in combinations order."""
-    rows = np.zeros((1, 0), dtype=np.intp)
-    for j in range(k):
-        last = rows[:, -1] if j else np.full(1, -1, dtype=np.intp)
-        # Column j of a k-subset runs from last + 1 to m - k + j.
-        counts = m - k + j - last
-        firsts = np.repeat(last + 1 - np.cumsum(counts) + counts, counts)
-        rows = np.column_stack((np.repeat(rows, counts, axis=0),
-                                firsts + np.arange(len(firsts))))
-    return rows
+    rows = comb(m, k)
+    flat = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.intp, rows * k)
+    return flat.reshape(rows, k)
 
 
 class _Halves:

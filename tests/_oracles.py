@@ -18,6 +18,20 @@ def replay_residual(a, y, support):
     return float(np.linalg.norm(y - a[:, support] @ coef))
 
 
+def projection_residual(a, y, support):
+    """Residual norm of y after projecting out the span of an explicit support.
+
+    Householder QR gives an orthonormal basis of the span, so the residual is
+    accurate to rounding even for nearly parallel columns, where a least-squares
+    fit loses eps * ||A_S|| * ||coef|| to cancellation in y - A_S @ coef.
+    """
+    support = list(support)
+    if not support:
+        return float(np.linalg.norm(y))
+    q = np.linalg.qr(a[:, support])[0]
+    return float(np.linalg.norm(y - q @ (q.T @ y)))
+
+
 def dense_omp(a, y, k, eps_rel=1e-6):
     """From-scratch greedy pursuit; returns the support selection sequence."""
     support = []

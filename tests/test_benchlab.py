@@ -21,7 +21,7 @@ from pursuitlab.benchlab import (
     run_sweep,
     run_trial,
 )
-from pursuitlab.pursuit import PursuitConfig, TerminationRule
+from pursuitlab.pursuit import CostModel, PursuitConfig, TerminationRule
 from pursuitlab.ripcert import matrix_digest
 
 from _oracles import random_orthonormal
@@ -300,6 +300,46 @@ def test_reference_configs_shape():
     assert aomp_e.termination.k_max == 55
     assert cfgs[0].cost_model.alpha == 0.8
     assert cfgs[2].branch_factor == 6
+
+
+def test_reference_configs_spell_out_the_protocol():
+    # Every field written out, so that a moved library default cannot
+    # silently change the comparison protocol.
+    def expected(eps, k_max):
+        return [
+            PursuitConfig(algorithm="aomp",
+                          termination=TerminationRule(kind="sparsity", k=None,
+                                                      epsilon_rel=1e-6, k_max=55),
+                          branch_factor=6, beam_width=4, init_paths=3,
+                          expand_branches=2, max_paths=200,
+                          cost_model=CostModel(kind="multiplicative", alpha=0.8),
+                          label="aomp-k"),
+            PursuitConfig(algorithm="aomp",
+                          termination=TerminationRule(kind="residual", k=None,
+                                                      epsilon_rel=eps, k_max=k_max),
+                          branch_factor=6, beam_width=4, init_paths=3,
+                          expand_branches=2, max_paths=200,
+                          cost_model=CostModel(kind="adaptive-multiplicative",
+                                               alpha=0.97),
+                          label="aomp-e"),
+            PursuitConfig(algorithm="mmp-df",
+                          termination=TerminationRule(kind="sparsity", k=None,
+                                                      epsilon_rel=1e-6, k_max=55),
+                          branch_factor=6, beam_width=4, init_paths=3,
+                          expand_branches=2, max_paths=200,
+                          cost_model=CostModel(kind="multiplicative", alpha=0.8),
+                          label="mmp-df-k"),
+            PursuitConfig(algorithm="mmp-df",
+                          termination=TerminationRule(kind="residual", k=None,
+                                                      epsilon_rel=eps, k_max=k_max),
+                          branch_factor=6, beam_width=4, init_paths=3,
+                          expand_branches=2, max_paths=200,
+                          cost_model=CostModel(kind="multiplicative", alpha=0.8),
+                          label="mmp-df-e"),
+        ]
+
+    assert reference_configs() == expected(1e-6, 55)
+    assert reference_configs(1e-3, 20) == expected(1e-3, 20)
 
 
 # --- report serialization ----------------------------------------------------------

@@ -1,9 +1,13 @@
+import concurrent.futures
+import hashlib
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
-from pursuitlab import cli
+from pursuitlab import benchlab, cli
 from pursuitlab.cli import main
 
 
@@ -268,6 +272,81 @@ def test_bench_k_range_expands_inclusively(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads((tmp_path / "r.json").read_text())
     assert [c["K"] for c in doc["cells"]] == [2] * 4 + [3] * 4
+
+
+# SHA-256 of a tiny bench run's CSV, JSON report and trial log with their
+# wall-time fields cut. A change that means to alter a reported number or
+# the report format updates it and says what moved and why.
+BENCH_REPORTS_SHA256 = "ff112b035dcfc4749edec6f1c3a7f455a073adb6a70c55d35bcf598f2fcfe20f"
+
+
+def _reports_digest(tmp_path):
+    h = hashlib.sha256()
+    for line in (tmp_path / "fp.csv").read_text().splitlines(keepends=True):
+        h.update(line.rsplit(",", 1)[0].encode())
+    for line in (tmp_path / "fp.json").read_text().splitlines(keepends=True):
+        if '"mean_wall_time_s"' not in line:
+            h.update(line.encode())
+    for line in (tmp_path / "fp.jsonl").read_text().splitlines(keepends=True):
+        h.update(re.sub(r', "wall_time_s": [^}]*', "", line).encode())
+    return h.hexdigest()
+
+
+def test_bench_report_bytes_fingerprint(tmp_path, capsys):
+    # Pins every byte of the three reports except wall times, which
+    # criterion 7 and the seed tests above cannot: they compare runs of one
+    # version with each other.
+    code = main(["bench", "--n", "24", "--m", "12", "--k", "2:1:4", "--trials", "3",
+                 "--seed", "7", "--csv", str(tmp_path / "fp.csv"),
+                 "--json", str(tmp_path / "fp.json"),
+                 "--trial-log", str(tmp_path / "fp.jsonl")])
+    assert code == 0
+    capsys.readouterr()
+    assert _reports_digest(tmp_path) == BENCH_REPORTS_SHA256
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the inputs were checked")
+
+
+@pytest.mark.parametrize("outputs, clash", [
+    ({"--csv": "x", "--json": "x"}, "x"),
+    ({"--csv": "b.csv", "--json": "b.json", "--trial-log": "b.csv"}, "b.csv"),
+    ({"--csv": "r.csv", "--json": "r.json", "--trial-log": "alias"}, "alias"),
+], ids=["csv-json", "log-csv", "symlink"])
+def test_bench_refuses_outputs_that_share_a_file(tmp_path, capsys, monkeypatch,
+                                                 outputs, clash):
+    # Unchecked, the later report would silently replace the earlier one.
+    monkeypatch.setattr(cli, "run_sweep", _no_work)
+    os.symlink(tmp_path / "r.csv", tmp_path / "alias")
+    argv = ["bench", "--n", "24", "--m", "12", "--k", "3", "--trials", "1"]
+    for flag, name in outputs.items():
+        argv += [flag, str(tmp_path / name)]
+    assert main(argv) == 1
+    assert (f"cannot write {tmp_path / clash}: another output goes to the same file"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alias"]
+    assert not (tmp_path / "alias").exists()
+
+
+def test_bench_names_a_malformed_env_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PURSUIT_LAB_SEED", "abc")
+    monkeypatch.setattr(cli, "run_sweep", _no_work)
+    assert main(_bench_args(tmp_path, "env", [])) == 1
+    assert "PURSUIT_LAB_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_refuses_a_negative_seed_before_any_trial(tmp_path, capsys, monkeypatch,
+                                                         jobs):
+    # Unchecked, numpy refuses the seed only inside the first trial, which
+    # under --jobs 2 runs after the worker pool has started.
+    monkeypatch.setattr(benchlab, "gen_problem", _no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_work)
+    assert main(_bench_args(tmp_path, "neg", ["--seed", "-3", "--jobs", jobs])) == 1
+    assert "global_seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # --- rip / bounds --------------------------------------------------------------------
