@@ -1,44 +1,14 @@
 """Sparse recovery by tree-search matching pursuits, with RIP certification
-and a Monte-Carlo benchmark harness."""
+and a Monte-Carlo benchmark harness.
 
-from .linalg import (
-    DegenerateColumnError,
-    IncrementalFactorization,
-    factor_init,
-)
-from .pursuit import (
-    ALGORITHMS,
-    CostModel,
-    DegenerateDictionaryError,
-    PursuitConfig,
-    PursuitResult,
-    TerminationRule,
-    run,
-    run_aomp,
-    run_mmp_bf,
-    run_mmp_df,
-    run_omp,
-)
-from .benchlab import (
-    SparseProblem,
-    SweepReport,
-    TrialResult,
-    anmse,
-    derive_trial_seed,
-    emit_report,
-    gen_problem,
-    nmse_value,
-    reference_configs,
-    run_sweep,
-    run_trial,
-)
-from .ripcert import (
-    BoundPair,
-    EnumerationCapError,
-    RicCertificate,
-    compute_ric,
-    lemma1_bounds,
-    matrix_digest,
-)
+The package namespace holds the quick start's four names; everything else
+lives at its module path: pursuitlab.pursuit, .linalg, .benchlab, .ripcert
+and .cli.
+"""
+
+from .benchlab import gen_problem
+from .pursuit import PursuitConfig, TerminationRule, run
+
+__all__ = ["PursuitConfig", "TerminationRule", "gen_problem", "run"]
 
 __version__ = "0.1.0"

@@ -107,15 +107,18 @@ def _check_writable(*paths):
 
 def _parse_k_values(text):
     """Sparsity grid: a single value, a comma list, or start:step:stop."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad sparsity range {text!r}; use start:step:stop")
-        start, step, stop = (int(p) for p in parts)
-        if step < 1 or stop < start:
-            raise ValueError(f"bad sparsity range {text!r}")
-        return list(range(start, stop + 1, step))
-    return [int(p) for p in text.split(",")]
+    try:
+        values = [int(p) for p in text.replace(":", ",").split(",")]
+    except ValueError:
+        raise ValueError(f"bad sparsity grid {text!r}; use integers") from None
+    if ":" not in text:
+        return values
+    if len(values) != 3 or "," in text:
+        raise ValueError(f"bad sparsity range {text!r}; use start:step:stop")
+    start, step, stop = values
+    if step < 1 or stop < start:
+        raise ValueError(f"bad sparsity range {text!r}")
+    return list(range(start, stop + 1, step))
 
 
 def _default_seed():
@@ -164,12 +167,10 @@ def _cmd_recover(args):
 
 def _cmd_bench(args):
     _check_writable(args.csv, args.json, args.trial_log)
-    trials = args.trials if args.trials is not None else \
-        (500 if args.reference_defaults else 100)
     k_values = _parse_k_values(args.k)
     configs = reference_configs(epsilon_rel=args.eps, k_max=args.kmax)
     seed = args.seed if args.seed is not None else _default_seed()
-    report = run_sweep(args.n, args.m, k_values, trials, configs, seed,
+    report = run_sweep(args.n, args.m, k_values, args.trials, configs, seed,
                        exact_tol=args.exact_tol, jobs=args.jobs,
                        trial_log=args.trial_log,
                        normalize_columns=args.normalize_columns,
@@ -290,11 +291,8 @@ def _build_parser():
     ben.add_argument("--k", default="10:5:50",
                      help="sparsity grid: one value, a comma list, or "
                           "start:step:stop (default %(default)s)")
-    ben.add_argument("--trials", type=int, default=None,
-                     help="trials per sparsity level (default 100)")
-    ben.add_argument("--reference-defaults", action="store_true",
-                     help="run the full reference protocol: N=256 M=100 "
-                          "K=10:5:50 with 500 trials per level")
+    ben.add_argument("--trials", type=int, default=100,
+                     help="trials per sparsity level (default %(default)s)")
     ben.add_argument("--seed", type=int, default=None,
                      help="global seed (default: PURSUIT_LAB_SEED or "
                           f"{DEFAULT_SEED})")

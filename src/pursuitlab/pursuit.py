@@ -57,6 +57,8 @@ PATH_BUDGET_EXHAUSTED = "path_budget_exhausted"
 
 ALGORITHMS = ("omp", "mmp-bf", "mmp-df", "aomp")
 
+_TINY = np.finfo(np.float64).tiny
+
 
 class DegenerateDictionaryError(ValueError):
     """No usable column at the first level: every candidate is degenerate."""
@@ -88,8 +90,8 @@ class TerminationRule:
             raise ValueError("k_max must be >= 1")
 
     @classmethod
-    def sparsity(cls, k, solution_eps=1e-6):
-        return cls(kind=SPARSITY, k=k, epsilon_rel=solution_eps)
+    def sparsity(cls, k):
+        return cls(kind=SPARSITY, k=k)
 
     @classmethod
     def residual(cls, epsilon_rel=1e-6, k_max=55):
@@ -211,7 +213,9 @@ class PursuitResult:
 
 
 def _setup(a, y, rule, trace):
-    """The expansion kernel, the empty root path, the length cap and the residual target."""
+    """The expansion kernel, the empty root path, the length cap, the residual
+    target and the binary exponents by which _search scales back the
+    estimate and the residual norm."""
     a = as_matrix(a)
     y = as_vector(y)
     if a.shape[0] != y.shape[0]:
@@ -220,13 +224,25 @@ def _setup(a, y, rule, trace):
     # argmax order is the stable descending order.
     with np.errstate(over="ignore"):
         yy = float(y @ y)
-        finite = math.isfinite(yy) and np.isfinite(np.einsum("ij,ij->j", a, a)).all()
-    if not finite:
+        aa = float(np.einsum("ij,ij->j", a, a).max())
+    if not (math.isfinite(yy) and math.isfinite(aa)):
         raise ValueError("dictionary or signal overflows float64; rescale the inputs")
+    # Subnormal squared norms keep few digits, so a tiny dictionary or signal
+    # is scaled by an exact power of two, 2**p or 2**q, which _search undoes.
+    p, q = _lift(aa), _lift(yy)
+    if p or q:
+        a, y = np.ldexp(a, p), np.ldexp(y, q)
+        yy = float(y @ y)
     # Paths can never usefully outgrow the rank bound min(rows, cols).
     max_len = min(rule.max_len(), a.shape[0], a.shape[1])
     eps = rule.epsilon_rel * math.sqrt(yy)
-    return _Expansion(a, trace), factor_init(a, y, capacity=max_len), max_len, eps
+    return _Expansion(a, trace), factor_init(a, y, capacity=max_len), max_len, eps, p - q, q
+
+
+def _lift(sq):
+    # The exponent e that brings a squared norm in (0, tiny) to about 1 when
+    # its vector is scaled by 2**e; 0 for any other squared norm.
+    return -(math.frexp(sq)[1] // 2) if 0.0 < sq < _TINY else 0
 
 
 def _ranked(a, fact):
@@ -361,7 +377,7 @@ def _search(a, y, rule, trace, frontier, *args):
     the setup, the zero-signal exit, the refusal of a dictionary whose
     every column is degenerate, the termination reason and the result.
     """
-    expand, root, max_len, eps = _setup(a, y, rule, trace)
+    expand, root, max_len, eps, est_exp, res_exp = _setup(a, y, rule, trace)
     if root.residual.any():
         best, iterations, opened, reason = frontier(expand, root, max_len, eps, *args)
         if not expand.explored:
@@ -371,10 +387,10 @@ def _search(a, y, rule, trace, frontier, *args):
         best, iterations, opened, reason = root, 0, 1, RESIDUAL_MET
     terminated = RESIDUAL_MET if best.residual_norm < eps else reason
     est = np.zeros(expand.a.shape[1])
-    est[best.indices] = best.coefficients()
+    est[best.indices] = np.ldexp(best.coefficients(), est_exp)
     tr = (None if expand.projected is None
           else {"projected": expand.projected, "completed": expand.completed})
-    return PursuitResult(est, tuple(best.indices), best.residual_norm,
+    return PursuitResult(est, tuple(best.indices), math.ldexp(best.residual_norm, -res_exp),
                          iterations, expand.explored, opened, terminated, tr)
 
 

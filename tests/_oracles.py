@@ -5,6 +5,7 @@ incremental state, so agreement with the package is a two-route check.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -23,13 +24,15 @@ def projection_residual(a, y, support):
 
     Householder QR gives an orthonormal basis of the span, so the residual is
     accurate to rounding even for nearly parallel columns, where a least-squares
-    fit loses eps * ||A_S|| * ||coef|| to cancellation in y - A_S @ coef.
+    fit loses eps * ||A_S|| * ||coef|| to cancellation in y - A_S @ coef. The
+    norm is math.hypot's, which is exact to rounding at any scale, where
+    sqrt(r @ r) keeps few digits once the squares are subnormal.
     """
     support = list(support)
     if not support:
-        return float(np.linalg.norm(y))
+        return math.hypot(*y)
     q = np.linalg.qr(a[:, support])[0]
-    return float(np.linalg.norm(y - q @ (q.T @ y)))
+    return math.hypot(*(y - q @ (q.T @ y)))
 
 
 def dense_omp(a, y, k, eps_rel=1e-6):

@@ -349,6 +349,14 @@ def test_bench_refuses_a_negative_seed_before_any_trial(tmp_path, capsys, monkey
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("grid", ["5,x", "1:a:3", ""])
+def test_bench_names_an_unreadable_sparsity_grid(tmp_path, capsys, monkeypatch, grid):
+    monkeypatch.setattr(cli, "run_sweep", _no_work)
+    assert main(_bench_args(tmp_path, "k", ["--k", grid])) == 1
+    assert f"bad sparsity grid {grid!r}; use integers" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # --- rip / bounds --------------------------------------------------------------------
 
 def test_rip_orthonormal(tmp_path, capsys):
@@ -497,6 +505,13 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["bench", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_bench_help_gives_one_way_to_set_the_trial_count(capsys):
+    assert main(["bench", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--trials TRIALS trials per sparsity level (default 100)" in out
+    assert "--reference-defaults" not in out
 
 
 def test_unknown_subcommand(capsys):
