@@ -198,16 +198,9 @@ def _print_bound_checks(delta, pair):
 def _cmd_rip(args):
     _check_writable(args.json)
     a = _read_array(args.matrix)
-    if (args.k is None) != (args.l is None):
-        raise ValueError("give both --k and --l or neither")
-    if args.k is not None:
-        k, l = args.k, args.l
-        if k + l != args.s:
-            raise ValueError(f"--k {k} plus --l {l} must equal --s {args.s}")
-    else:
-        k, l = args.s - 1, 1
+    k, l = args.s - args.l, args.l
     if k < 1:
-        raise ValueError("--s must be at least 2 to split into k and l")
+        raise ValueError(f"--s {args.s} must exceed --l {l} to split into k = s - l and l")
     pair = lemma1_bounds(k, l)  # reject a bad split before the enumeration
     cert = compute_ric(a, args.s, subset_cap=args.cap)
     print(f"subset_size: {cert.subset_size}")
@@ -326,11 +319,9 @@ def _build_parser():
     rip.add_argument("matrix", help="dictionary file")
     rip.add_argument("--s", type=int, required=True,
                      help="subset size to certify")
-    rip.add_argument("--k", type=int, default=None,
-                     help="sparsity part of the (k, l) split "
-                          "(default: s-1)")
-    rip.add_argument("--l", type=int, default=None,
-                     help="branch part of the (k, l) split (default: 1)")
+    rip.add_argument("--l", type=int, default=1,
+                     help="branch part of the (k, l) split; k is s minus l "
+                          "(default %(default)s)")
     rip.add_argument("--cap", type=int, default=DEFAULT_SUBSET_CAP,
                      help="refuse enumerations beyond this many subsets "
                           "(default %(default)s)")

@@ -10,8 +10,9 @@ first; OMP is the beam with one branch and one surviving path),
 _depth_first and _best_first. In that step, _Expansion.child is the only
 projection of a new support, _Expansion.rank the only way a frontier turns
 a branch rank into a child, and _Expansion.complete the one log of
-finished paths. run() maps a config to its search. Every search reports
-the same counters:
+finished paths. Only the depth-first walk comes back to a node, so only it
+keeps a node's resolved ranks across calls. run() maps a config to its
+search. Every search reports the same counters:
 
 - iterations: rounds in which the search ranked a path's candidate columns
   and grew from them. run_omp and run_mmp_bf count levels that made at
@@ -94,7 +95,7 @@ class TerminationRule:
         return cls(kind=SPARSITY, k=k)
 
     @classmethod
-    def residual(cls, epsilon_rel=1e-6, k_max=55):
+    def residual(cls, epsilon_rel=epsilon_rel, k_max=k_max):  # the field defaults
         return cls(kind=RESIDUAL, epsilon_rel=epsilon_rel, k_max=k_max)
 
     def max_len(self):
@@ -277,20 +278,6 @@ def _by_rank(corr, selected, left):
 _DUP = object()
 
 
-class _Ranks:
-    """One path's branch ranks: its lazy ranking and the columns resolved so far.
-
-    cols[c] is the column at branch rank c, None for a duplicate. It holds
-    no factor, so a search tree of these keeps no factor buffer alive.
-    """
-
-    __slots__ = ("ranked", "cols")
-
-    def __init__(self, a, fact):
-        self.ranked = _ranked(a, fact)
-        self.cols = []
-
-
 class _Expansion:
     """The child step shared by every search.
 
@@ -336,17 +323,22 @@ class _Expansion:
     def rank(self, ranks, fact, c):
         """Child of fact at branch rank c: a factor, _DUP, or None past the last rank.
 
-        Ranks resolve in order, so resolving rank c projects every
-        unresolved rank below it too. A degenerate column holds no rank and
-        later ranks shift past it; a duplicate holds one without a
-        projection. A rank resolved earlier is rebuilt by an uncounted
-        append, which reproduces the first child bit for bit.
+        ranks is the node's (ranking, cols) pair: its lazy _ranked iterator
+        and the columns resolved so far, cols[c] being the column at branch
+        rank c or None for a duplicate. children() makes a fresh pair per
+        call; the depth-first walk keeps one per node, and since a pair
+        holds no factor its tree keeps no factor buffer alive. Ranks
+        resolve in order, so resolving rank c projects every unresolved
+        rank below it too. A degenerate column holds no rank and later ranks
+        shift past it; a duplicate holds one without a projection. A rank
+        resolved earlier is rebuilt by an uncounted append, which reproduces
+        the first child bit for bit.
         """
-        cols = ranks.cols
+        ranked, cols = ranks
         if c < len(cols):
             col = cols[c]
             return _DUP if col is None else fact.copy().append(self.a, col)
-        for col in ranks.ranked:
+        for col in ranked:
             child = self.child(fact, col)
             if child is None:
                 continue
@@ -357,7 +349,7 @@ class _Expansion:
 
     def children(self, fact, width):
         """New children of fact at branch ranks 0..width-1; duplicates are left out."""
-        ranks = _Ranks(self.a, fact)
+        ranks = (_ranked(self.a, fact), [])
         out = []
         for c in range(width):
             child = self.rank(ranks, fact, c)
@@ -462,8 +454,9 @@ def _paths(expand, tree, root, total, branch, max_len, eps):
     """Last factor of each realized path below root whose branch ranks sum to total.
 
     Lazy, in walk order: a caller that stops pulling stops projecting. The
-    walk keeps its own stack, one record per level: [fact, its _Ranks (kept
-    in tree across totals), branch sum left, next rank, last rank].
+    walk keeps its own stack, one record per level: [fact, its ranks (the
+    (ranking, cols) pair of _Expansion.rank, kept in tree across totals),
+    branch sum left, next rank, last rank].
     """
     stack = []
     fact, remaining = root, total
@@ -473,7 +466,7 @@ def _paths(expand, tree, root, total, branch, max_len, eps):
                 yield fact
         else:
             if fact.key not in tree:
-                tree[fact.key] = _Ranks(expand.a, fact)
+                tree[fact.key] = (_ranked(expand.a, fact), [])
             # Ranks below remaining - headroom leave more branch sum than the
             # levels below this one can spend.
             headroom = (branch - 1) * (max_len - fact.k - 1)
@@ -495,7 +488,7 @@ def _paths(expand, tree, root, total, branch, max_len, eps):
 
 def _depth_first(expand, root, max_len, eps, branch, max_paths):
     """The walk behind run_mmp_df: completed paths by nondecreasing branch-rank sum."""
-    tree = {}        # support key -> _Ranks of that node
+    tree = {}        # support key -> (ranking, cols) of that node
     best = None
     paths = 0
     # Total 0 walks the greedy path, which completes (the registry then holds

@@ -40,7 +40,6 @@ __all__ = [
     "matrix_digest",
     "compute_ric",
     "lemma1_bounds",
-    "check_recovery_condition",
 ]
 
 DEFAULT_SUBSET_CAP = 2_000_000
@@ -326,16 +325,3 @@ def lemma1_bounds(k, l):
                          f"round to {loose:.12g} in float64")
     return BoundPair(k=k, l=l, bound_loose=loose, bound_tight=tight)
 
-
-def check_recovery_condition(a, k, l, which="loose"):
-    """Certify delta_{k+l} against one of the recovery thresholds.
-
-    Returns (ok, certificate) where ok is True iff the exact delta_{k+l} of
-    the dictionary falls below the selected threshold ("loose" or "tight").
-    """
-    if which not in ("loose", "tight"):
-        raise ValueError(f"which must be 'loose' or 'tight', got {which!r}")
-    bounds = lemma1_bounds(k, l)
-    cert = compute_ric(a, k + l)
-    bound = bounds.bound_loose if which == "loose" else bounds.bound_tight
-    return cert.delta < bound, cert

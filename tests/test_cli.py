@@ -225,6 +225,35 @@ def test_bench_single_cell(tmp_path, capsys):
     assert [c["trials"] for c in doc["cells"]] == [1, 1, 1, 1]
 
 
+def _logged_trials(tmp_path, tag, extra):
+    log = tmp_path / f"{tag}.jsonl"
+    assert main(["bench", "--n", "24", "--m", "12", "--k", "3", "--trials", "2",
+                 "--seed", "7", "--csv", str(tmp_path / f"{tag}.csv"),
+                 "--json", str(tmp_path / f"{tag}.json"),
+                 "--trial-log", str(log)] + extra) == 0
+    rows = [json.loads(line) for line in log.read_text().splitlines()]
+    return [{key: v for key, v in row.items() if key != "wall_time_s"} for row in rows]
+
+
+@pytest.mark.parametrize("flag", ["normalize_columns", "flat_amplitudes"])
+def test_bench_problem_flags_reach_every_trial(tmp_path, capsys, flag):
+    # The one-cell-per-config sweep under the flag equals run_trial over
+    # gen_problem(..., flag=True), trial by trial, and differs from the
+    # default sweep.
+    got = _logged_trials(tmp_path, "flag", ["--" + flag.replace("_", "-")])
+    want = []
+    for trial in range(2):
+        problem = benchlab.gen_problem(24, 12, 3, benchlab.derive_trial_seed(7, 3, trial),
+                                       **{flag: True})
+        for config in benchlab.reference_configs():
+            row = benchlab._row(benchlab.run_trial(problem, config))
+            del row["wall_time_s"]
+            want.append(row)
+    assert got == want
+    assert got != _logged_trials(tmp_path, "plain", [])
+    capsys.readouterr()
+
+
 def test_bench_invalid_config(tmp_path, capsys):
     code = main(["bench", "--n", "24", "--m", "24", "--k", "3",
                  "--trials", "1", "--csv", str(tmp_path / "x.csv"),
@@ -383,19 +412,29 @@ def test_rip_cap_exceeded(tmp_path, capsys):
 
 
 def test_rip_split_validation(tmp_path, capsys):
+    # The split is k = s - l; there is no --k to contradict it.
     mat = tmp_path / "q.txt"
     _write_array(mat, np.eye(5))
     assert main(["rip", str(mat), "--s", "3", "--k", "1"]) == 1
-    assert main(["rip", str(mat), "--s", "3", "--k", "3", "--l", "2"]) == 1
-    assert main(["rip", str(mat), "--s", "4", "--k", "2", "--l", "2"]) == 0
-    capsys.readouterr()
+    assert "unrecognized arguments: --k 1" in capsys.readouterr().err
+    assert main(["rip", str(mat), "--s", "4", "--l", "2"]) == 0
+    assert "split: k=2 l=2" in capsys.readouterr().out
+    assert main(["rip", str(mat), "--s", "4"]) == 0
+    assert "split: k=3 l=1" in capsys.readouterr().out
+
+
+def test_rip_help_shows_the_split_flag_with_its_default(capsys):
+    assert main(["rip", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--k" not in out
+    assert "--l L branch part of the (k, l) split; k is s minus l (default 1)" in out
 
 
 def test_rip_refuses_a_subset_size_it_cannot_split(tmp_path, capsys):
     mat = tmp_path / "q.txt"
     _write_array(mat, np.eye(5))
     assert main(["rip", str(mat), "--s", "1"]) == 1
-    assert "--s must be at least 2 to split into k and l" in capsys.readouterr().err
+    assert "--s 1 must exceed --l 1 to split into k = s - l and l" in capsys.readouterr().err
 
 
 def test_rip_rejects_bad_split_before_enumerating(tmp_path, capsys,
@@ -406,9 +445,26 @@ def test_rip_rejects_bad_split_before_enumerating(tmp_path, capsys,
     monkeypatch.setattr(cli, "compute_ric", no_enumeration)
     mat = tmp_path / "g.txt"
     _write_array(mat, np.random.default_rng(0).standard_normal((8, 18)))
-    for k, l in (("6", "0"), ("7", "-1")):
-        assert main(["rip", str(mat), "--s", "6", "--k", k, "--l", l]) == 1
+    for l in ("0", "-1"):
+        assert main(["rip", str(mat), "--s", "6", "--l", l]) == 1
         assert "k and l must be >= 1" in capsys.readouterr().err
+    for s, l in (("3", "3"), ("6", "7")):
+        assert main(["rip", str(mat), "--s", s, "--l", l]) == 1
+        captured = capsys.readouterr()
+        assert f"--s {s} must exceed --l {l}" in captured.err
+        assert captured.out == ""
+
+
+def test_rip_fails_both_thresholds_on_a_duplicated_column(tmp_path, capsys):
+    # delta_2 = 1 on a repeated column, above both (k, l) = (1, 1) thresholds.
+    mat = tmp_path / "d.txt"
+    _write_array(mat, np.eye(4)[:, [0, 0, 1, 2]])
+    assert main(["rip", str(mat), "--s", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "delta: 1\n" in out and "extremal_subset: 0 1\n" in out
+    assert "bound_loose: 0.5 FAIL\n" in out
+    assert "bound_tight: 0.333333333333 FAIL\n" in out
+    assert "PASS" not in out
 
 
 @pytest.mark.parametrize("command, work, flags", [
@@ -466,8 +522,7 @@ def test_unorderable_bounds_exit_one(tmp_path, capsys):
     huge = "1" + "0" * 300
     for argv in (["bounds", "--k", huge, "--l", "1"],
                  ["rip", str(mat), "--s", huge],
-                 ["rip", str(mat), "--s", "1" + "0" * 299 + "1", "--k", huge,
-                  "--l", "1"]):
+                 ["rip", str(mat), "--s", "1" + "0" * 299 + "1", "--l", "1"]):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "FAIL" not in captured.out

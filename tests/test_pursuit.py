@@ -9,7 +9,7 @@ import pytest
 
 from pursuitlab import pursuit
 from pursuitlab.benchlab import gen_problem
-from pursuitlab.linalg import IncrementalFactorization
+from pursuitlab.linalg import DegenerateColumnError, IncrementalFactorization
 from pursuitlab.pursuit import (
     ADAPTIVE_MULTIPLICATIVE,
     ALGORITHMS,
@@ -29,7 +29,7 @@ from pursuitlab.pursuit import (
     run_mmp_df,
     run_omp,
 )
-from pursuitlab.pursuit import _DUP, _Ranks, _setup
+from pursuitlab.pursuit import _DUP, _ranked, _setup
 
 from _oracles import (
     dense_omp,
@@ -808,26 +808,26 @@ def _below_dup():
     a[0, 0] = a[0, 2] = a[1, 3] = a[2, 4] = a[3, 5] = 1.0
     y = np.array([3.0, 2.0, 1.0, 0.0])
     expand, root, *_ = _setup(a, y, TerminationRule.sparsity(3), trace=True)
-    ranks = _Ranks(a, root)
+    ranks = (_ranked(a, root), [])
     kids = [expand.rank(ranks, root, c) for c in range(6)]
     # The zero column holds no rank: column 5 moves up to rank 4, and there
     # is no rank 5.
     assert [f.key for f in kids[:5]] == [(0,), (2,), (3,), (4,), (5,)]
-    assert kids[5] is None and ranks.cols == [0, 2, 3, 4, 5]
-    assert expand.rank(_Ranks(a, kids[2]), kids[2], 0).key == (0, 3)
+    assert kids[5] is None and ranks[1] == [0, 2, 3, 4, 5]
+    assert expand.rank((_ranked(a, kids[2]), []), kids[2], 0).key == (0, 3)
     return a, expand, kids[0]
 
 
 def test_expansion_rank_resolution():
     a, expand, f0 = _below_dup()
     explored, projected = expand.explored, list(expand.projected)
-    ranks = _Ranks(a, f0)
+    ranks = (_ranked(a, f0), [])
     first = [expand.rank(ranks, f0, c) for c in range(4)]
     # The duplicate holds rank 0 without a projection; the zero column and
     # the copy of column 0 hold no rank, so column 5 takes rank 2.
     assert first[0] is _DUP and first[3] is None
     assert [f.key for f in first[1:3]] == [(0, 4), (0, 5)]
-    assert ranks.cols == [None, 4, 5]
+    assert ranks[1] == [None, 4, 5]
     assert expand.explored == explored + 2
     assert expand.projected == projected + [(0, 4), (0, 5)]
 
@@ -847,6 +847,54 @@ def test_expansion_rank_resolution():
         got = [f.key for f in expand.children(f0, width)]
         assert got == [f.key for f in first[:width] if f is not None and f is not _DUP]
         assert expand.explored == explored + min(width - 1, 2)
+
+
+def test_beam_and_best_first_make_no_uncounted_appends(monkeypatch):
+    # Beam and best-first take each child from children() once, so every
+    # append is a counted projection or a refused degenerate column, on one
+    # copy. The depth-first walk is left out: it may rebuild a child it
+    # comes back to by an uncounted append.
+    ops = {"copy": 0, "append": 0, "degenerate": 0}
+    copy, append = IncrementalFactorization.copy, IncrementalFactorization.append
+
+    def counted_copy(fact):
+        ops["copy"] += 1
+        return copy(fact)
+
+    def counted_append(fact, a, j):
+        ops["append"] += 1
+        try:
+            return append(fact, a, j)
+        except DegenerateColumnError:
+            ops["degenerate"] += 1
+            raise
+
+    monkeypatch.setattr(IncrementalFactorization, "copy", counted_copy)
+    monkeypatch.setattr(IncrementalFactorization, "append", counted_append)
+    degenerate = dict.fromkeys(ALGORITHMS, 0)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        # Column 4 repeats column 1 and column 7 is zero. Under the residual
+        # rule a noisy signal outside the six usable columns' span takes
+        # every search past them, so even the greedy path reaches both.
+        a = rng.standard_normal((8, 8))
+        a[:, 4] = a[:, 1]
+        a[:, 7] = 0.0
+        y = a[:, [1, 2, 6]] @ rng.standard_normal(3) + 0.05 * rng.standard_normal(8)
+        for rule in (TerminationRule.sparsity(5), TerminationRule.residual(1e-6, k_max=8)):
+            for config in (PursuitConfig("omp", rule),
+                           PursuitConfig("mmp-bf", rule, branch_factor=3, beam_width=3),
+                           PursuitConfig("mmp-df", rule, branch_factor=3, max_paths=15),
+                           PursuitConfig("aomp", rule, max_paths=30)):
+                ops.update(copy=0, append=0, degenerate=0)
+                res = run(a, y, config)
+                where = (seed, config.algorithm, rule.kind)
+                assert ops["copy"] == ops["append"], where
+                uncounted = ops["append"] - res.explored_nodes - ops["degenerate"]
+                if config.algorithm != "mmp-df":
+                    assert uncounted == 0, where
+                degenerate[config.algorithm] += ops["degenerate"]
+    assert all(degenerate.values())  # every search reached the bad columns
 
 
 # --- decision fingerprint ----------------------------------------------------

@@ -12,7 +12,6 @@ from pursuitlab.ripcert import (
     BoundPair,
     EnumerationCapError,
     RicCertificate,
-    check_recovery_condition,
     compute_ric,
     lemma1_bounds,
     matrix_digest,
@@ -393,40 +392,6 @@ def test_bounds_refuse_thresholds_float64_cannot_order():
     assert pair.bound_loose > pair.bound_tight
 
 
-# --- check_recovery_condition ---------------------------------------------------
-
-def test_check_orthonormal_passes_both():
-    rng = np.random.default_rng(31)
-    a = random_orthonormal(rng, 10)
-    for which in ("loose", "tight"):
-        ok, cert = check_recovery_condition(a, 2, 2, which)
-        assert ok
-        assert cert.delta == pytest.approx(0.0, abs=1e-12)
-        assert cert.subset_size == 4
-
-
-def test_check_duplicated_column_fails_both():
-    a = np.eye(4)[:, [0, 0, 1, 2]]
-    for which in ("loose", "tight"):
-        ok, cert = check_recovery_condition(a, 1, 1, which)
-        assert not ok
-        assert cert.delta == pytest.approx(1.0, abs=1e-14)
-
-
-def test_check_tight_implies_loose():
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        a = rng.normal(0.0, 1.0 / np.sqrt(8), size=(8, 10))
-        loose_ok, _ = check_recovery_condition(a, 2, 1, "loose")
-        tight_ok, _ = check_recovery_condition(a, 2, 1, "tight")
-        assert not (tight_ok and not loose_ok)
-
-
-def test_check_which_validation():
-    with pytest.raises(ValueError):
-        check_recovery_condition(np.eye(4), 1, 1, "medium")
-
-
 # --- certified recovery property -------------------------------------------------
 
 def _tiny_dictionary(rng, i):
@@ -458,8 +423,8 @@ def test_certified_dictionaries_recover_sparse_signals(tmp_path):
     for i in range(30):
         a = _tiny_dictionary(rng, i)
         n = a.shape[1]
-        ok, cert = check_recovery_condition(a, k, l, "loose")
-        if not ok:
+        cert = compute_ric(a, k + l)
+        if not cert.delta < lemma1_bounds(k, l).bound_loose:
             rejected += 1
             continue
         certified += 1
