@@ -129,6 +129,8 @@ class SweepReport:
     exact_tol: float
     configs: tuple        # config echo, one dict per configuration
     cells: tuple = field(default=())
+    normalize_columns: bool = False   # the problem family, as gen_problem takes it
+    flat_amplitudes: bool = False
 
 
 def derive_trial_seed(global_seed, k, trial):
@@ -314,7 +316,8 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
                        k_values=tuple(k_values), trials_per_k=trials_per_k,
                        exact_tol=exact_tol,
                        configs=tuple(_config_dict(c) for c in configs),
-                       cells=tuple(cells))
+                       cells=tuple(cells), normalize_columns=bool(normalize_columns),
+                       flat_amplitudes=bool(flat_amplitudes))
 
 
 def reference_configs(epsilon_rel=TerminationRule.epsilon_rel,
@@ -361,6 +364,8 @@ def emit_report(report, fmt, path=None):
                        "k_values": list(report.k_values),
                        "trials_per_k": report.trials_per_k,
                        "exact_tol": _sig12(report.exact_tol),
+                       "normalize_columns": report.normalize_columns,
+                       "flat_amplitudes": report.flat_amplitudes,
                        "configurations": list(report.configs)},
             "cells": [{key: _sig12(v) if isinstance(v, float) else v
                        for key, v in row.items()} for row in rows]}, indent=2) + "\n"

@@ -1,6 +1,7 @@
 """Dense column-selection linear algebra: incremental QR of a growing column subset."""
 
 import math
+import operator
 from bisect import bisect_left
 
 import numpy as np
@@ -47,15 +48,18 @@ class IncrementalFactorization:
     dictionary column j, its coordinates w on the earlier basis columns (the
     entries of r above the diagonal), the diagonal entry unorm and the
     projection c = q[:, k].T @ y. Besides the records in append order, a
-    factorization tracks their support key (the same columns as a sorted
-    tuple), an orthonormal basis q of their span and the residual of y
-    against the span. One append costs O(rows * size) instead of a dense
-    re-solve. indices, r and qty are built from the records when read, so
-    q is the only buffer and reading a factorization never writes to it.
+    factorization tracks their support twice: as the key, the same columns
+    as a sorted tuple, by which searches order tied paths and log supports,
+    and as the mask, an int whose bit j is set iff column j is selected, by
+    which they look supports up. It also tracks an orthonormal basis q of
+    their span and the residual of y against the span. One append costs
+    O(rows * size) instead of a dense re-solve. indices, r and qty are built
+    from the records when read, so q is the only buffer and reading a
+    factorization never writes to it.
 
     Instances are mutable; branch a search path by calling copy() first.
-    A copy shares q, the record list, the immutable key and the residual,
-    and copies nothing. Factorizations with a common prefix share one q
+    A copy shares q, the record list, the immutable key and mask and the
+    residual, and copies nothing. Factorizations with a common prefix share one q
     buffer and one record list, of which the first k columns and records are
     theirs; written columns and records never change. An append at slot k
     claims it, writing q[:, k] and appending its record, iff the shared list
@@ -67,12 +71,13 @@ class IncrementalFactorization:
     residual never changes under another factorization.
     """
 
-    __slots__ = ("k", "key", "q", "records", "pending", "residual",
+    __slots__ = ("k", "key", "mask", "q", "records", "pending", "residual",
                  "residual_norm")
 
     def __init__(self, rows, capacity, y):
         self.k = 0
         self.key = ()
+        self.mask = 0
         self.q = np.empty((rows, capacity), dtype=np.float64, order="F")
         self.records = []
         self.pending = None     # (u, record) of column k-1 when unslotted
@@ -119,6 +124,7 @@ class IncrementalFactorization:
         new = IncrementalFactorization.__new__(IncrementalFactorization)
         new.k = self.k
         new.key = self.key
+        new.mask = self.mask
         new.q = self.q
         new.records = self.records
         new.pending = None
@@ -128,13 +134,15 @@ class IncrementalFactorization:
 
     def append(self, a, j):
         """Append column j of a; raises DegenerateColumnError before any state changes."""
+        # A numpy integer would shift out of range: 1 << np.int64(70) == 0.
+        j = operator.index(j)
         rows, capacity = self.q.shape
         if a.shape[0] != rows:
             raise ValueError(f"row mismatch: matrix has {a.shape[0]} rows, factorization has {rows}")
         if not 0 <= j < a.shape[1]:
             raise ValueError(f"column index {j} out of range for {a.shape[1]} columns")
-        pos = bisect_left(self.key, j)
-        if pos < len(self.key) and self.key[pos] == j:
+        bit = 1 << j
+        if self.mask & bit:
             raise ValueError(f"column index {j} already selected")
         if self.k >= capacity:
             raise ValueError(f"factorization capacity {capacity} exhausted")
@@ -173,7 +181,9 @@ class IncrementalFactorization:
         # A projection cannot lengthen the residual; clamp away rounding noise.
         self.residual_norm = min(self.residual_norm,
                                  math.sqrt(float(residual.dot(residual))))
+        pos = bisect_left(self.key, j)
         self.key = self.key[:pos] + (j,) + self.key[pos:]
+        self.mask |= bit
         self.k = k + 1
         return self
 

@@ -23,8 +23,10 @@ search. Every search reports the same counters:
 """
 
 import math
+import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -150,9 +152,17 @@ def path_cost(residual_norm, path_len, target_length, model, prev_residual_norm=
 class SupportTrie:
     """Order-insensitive registry of visited support sets.
 
-    Each set is stored once as a sorted tuple in a hash set, so membership
-    costs one sort and one lookup and never touches the factorizations:
+    A set is named by its bitmask, an int whose bit j is set iff column j is
+    in the set, or by its columns in any order, and is stored once as the
+    mask in a hash set. The searches pass a factor's mask, so membership
+    costs one lookup, sorts nothing and never touches the factorizations:
     duplicates are detected before any projection is spent on them.
+
+    Size: a mask over n dictionary columns takes 24 + 4 * ceil(n / 30) bytes
+    (60 at n = 256) whatever the set's size k, and the sorted tuple it
+    replaces 40 + 8k. The mask is the larger only when k < ceil(n / 30) / 2
+    - 2: at n <= 300 only for k <= 2, and in general only for dictionaries
+    wider than about 60 columns per support column.
     """
 
     __slots__ = ("_seen",)
@@ -161,17 +171,25 @@ class SupportTrie:
         self._seen = set()
 
     def __contains__(self, support):
-        return tuple(sorted(support)) in self._seen
+        return _mask(support) in self._seen
 
     def check_insert(self, support):
         """Insert a support set; True if it was new, False if already present."""
-        key = tuple(sorted(support))
-        if key in self._seen:
+        mask = _mask(support)
+        if mask in self._seen:
             return False
-        # Keep the caller's tuple when it is already the sorted key, so a
-        # support the search also holds is stored once.
-        self._seen.add(support if support == key else key)
+        self._seen.add(mask)
         return True
+
+
+def _mask(support):
+    # The bitmask of a support given as its mask or as its columns.
+    if isinstance(support, int):
+        return support
+    mask = 0
+    for j in support:
+        mask |= 1 << operator.index(j)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -254,7 +272,7 @@ def _ranked(a, fact):
     selected column that argmax reaches first. argmax returns the first
     maximum, so every prefix equals that of a full stable sort. The
     iterator holds only the correlations and fact's immutable key, not
-    fact, so a search node that keeps it does not keep fact's buffer alive.
+    fact, so a walk that keeps it does not keep fact's buffer alive.
     """
     corr = a.T.dot(fact.residual)
     np.abs(corr, out=corr)
@@ -276,6 +294,26 @@ def _by_rank(corr, selected, left):
 
 # Child-step outcome for a support already in the registry.
 _DUP = object()
+
+
+class _Ranks:
+    """A node's branch ranks: the columns resolved so far and how to resolve more.
+
+    cols[c] is the column at branch rank c, or None for a duplicate.
+    ranking is the node's lazy _ranked iterator, made when a rank past cols
+    is first asked for, or None; pulled counts the candidates taken from it,
+    degenerate ones included. So a holder may drop the ranking to free its
+    correlations: a factor rebuilt along the same path is bit-identical, its
+    ranking is the same, and the rebuilt one resumes after pulled
+    candidates.
+    """
+
+    __slots__ = ("ranking", "cols", "pulled")
+
+    def __init__(self):
+        self.ranking = None
+        self.cols = []
+        self.pulled = 0
 
 
 class _Expansion:
@@ -308,13 +346,14 @@ class _Expansion:
         A registered support was projected before, so col is independent of
         the span and holds a branch rank; a degenerate column holds none.
         """
-        if fact.key + (col,) in self.trie:
+        mask = fact.mask | 1 << col
+        if mask in self.trie:
             return _DUP
         try:
             child = fact.copy().append(self.a, col)
         except DegenerateColumnError:
             return None
-        self.trie.check_insert(child.key)
+        self.trie.check_insert(mask)
         self.explored += 1
         if self.projected is not None:
             self.projected.append(child.key)
@@ -323,22 +362,25 @@ class _Expansion:
     def rank(self, ranks, fact, c):
         """Child of fact at branch rank c: a factor, _DUP, or None past the last rank.
 
-        ranks is the node's (ranking, cols) pair: its lazy _ranked iterator
-        and the columns resolved so far, cols[c] being the column at branch
-        rank c or None for a duplicate. children() makes a fresh pair per
-        call; the depth-first walk keeps one per node, and since a pair
-        holds no factor its tree keeps no factor buffer alive. Ranks
-        resolve in order, so resolving rank c projects every unresolved
-        rank below it too. A degenerate column holds no rank and later ranks
-        shift past it; a duplicate holds one without a projection. A rank
-        resolved earlier is rebuilt by an uncounted append, which reproduces
-        the first child bit for bit.
+        ranks is fact's _Ranks. children() makes a fresh one per call; the
+        depth-first walk keeps one per node, and since a _Ranks holds no
+        factor its tree keeps no factor buffer alive. Ranks resolve in
+        order, so resolving rank c projects every unresolved rank below it
+        too. A degenerate column holds no rank and later ranks shift past
+        it; a duplicate holds one without a projection. A rank resolved
+        earlier is rebuilt by an uncounted append, which reproduces the
+        first child bit for bit; a dropped ranking is re-ranked from fact.
         """
-        ranked, cols = ranks
+        cols = ranks.cols
         if c < len(cols):
             col = cols[c]
             return _DUP if col is None else fact.copy().append(self.a, col)
-        for col in ranked:
+        if ranks.ranking is None:
+            if ranks.pulled == self.a.shape[1] - fact.k:  # every candidate taken
+                return None
+            ranks.ranking = islice(_ranked(self.a, fact), ranks.pulled, None)
+        for col in ranks.ranking:
+            ranks.pulled += 1
             child = self.child(fact, col)
             if child is None:
                 continue
@@ -349,7 +391,7 @@ class _Expansion:
 
     def children(self, fact, width):
         """New children of fact at branch ranks 0..width-1; duplicates are left out."""
-        ranks = (_ranked(self.a, fact), [])
+        ranks = _Ranks()
         out = []
         for c in range(width):
             child = self.rank(ranks, fact, c)
@@ -454,9 +496,12 @@ def _paths(expand, tree, root, total, branch, max_len, eps):
     """Last factor of each realized path below root whose branch ranks sum to total.
 
     Lazy, in walk order: a caller that stops pulling stops projecting. The
-    walk keeps its own stack, one record per level: [fact, its ranks (the
-    (ranking, cols) pair of _Expansion.rank, kept in tree across totals),
-    branch sum left, next rank, last rank].
+    walk keeps its own stack, one record per level: [fact, its _Ranks (kept
+    in tree across totals), branch sum left, next rank, last rank]. A
+    node's ranking lives only while the visit may resolve a rank there: it
+    is dropped once the visit asks for its last rank, so the tree holds
+    resolved columns, not n correlations per node, and a later total that
+    needs a new rank re-ranks from the rebuilt factor.
     """
     stack = []
     fact, remaining = root, total
@@ -465,12 +510,13 @@ def _paths(expand, tree, root, total, branch, max_len, eps):
             if remaining == 0:
                 yield fact
         else:
-            if fact.key not in tree:
-                tree[fact.key] = (_ranked(expand.a, fact), [])
+            ranks = tree.get(fact.mask)
+            if ranks is None:
+                ranks = tree[fact.mask] = _Ranks()
             # Ranks below remaining - headroom leave more branch sum than the
             # levels below this one can spend.
             headroom = (branch - 1) * (max_len - fact.k - 1)
-            stack.append([fact, tree[fact.key], remaining,
+            stack.append([fact, ranks, remaining,
                           max(0, remaining - headroom), min(branch - 1, remaining)])
         fact = None
         while fact is None and stack:  # the next child, from the deepest level
@@ -478,6 +524,8 @@ def _paths(expand, tree, root, total, branch, max_len, eps):
             parent, ranks, left, c, last = level
             level[3] = c + 1
             child = expand.rank(ranks, parent, c) if c <= last else None
+            if c == last:
+                ranks.ranking = None
             if child is None:
                 stack.pop()
                 if c == 0 and left == 0:  # no candidate at all: stuck, and complete
@@ -488,7 +536,7 @@ def _paths(expand, tree, root, total, branch, max_len, eps):
 
 def _depth_first(expand, root, max_len, eps, branch, max_paths):
     """The walk behind run_mmp_df: completed paths by nondecreasing branch-rank sum."""
-    tree = {}        # support key -> (ranking, cols) of that node
+    tree = {}        # support mask -> _Ranks of that node
     best = None
     paths = 0
     # Total 0 walks the greedy path, which completes (the registry then holds
@@ -515,7 +563,7 @@ def run_mmp_df(a, y, config, trace=False):
     consuming the max_paths budget, and the smallest-residual completed
     path wins unless one meets the residual criterion outright. The
     registry gives every walked node its own support, so the tree is keyed
-    by support rather than by choice vector. The walk keeps its own stack,
+    by support mask rather than by choice vector. The walk keeps its own stack,
     so a path can be max_len deep, and frees its state on return.
     """
     if config.algorithm != "mmp-df":

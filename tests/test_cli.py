@@ -254,6 +254,21 @@ def test_bench_problem_flags_reach_every_trial(tmp_path, capsys, flag):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["normalize_columns", "flat_amplitudes"])
+def test_bench_json_header_names_the_problem_family(tmp_path, capsys, flag):
+    assert main(_bench_args(tmp_path, "on", ["--seed", "7", "--" + flag.replace("_", "-")])) == 0
+    assert main(_bench_args(tmp_path, "off", ["--seed", "7"])) == 0
+    capsys.readouterr()
+    on = json.loads((tmp_path / "on.json").read_text())["config"]
+    off = json.loads((tmp_path / "off.json").read_text())["config"]
+    other = ({"normalize_columns", "flat_amplitudes"} - {flag}).pop()
+    assert (on[flag], on[other], off[flag], off[other]) == (True, False, False, False)
+    del on[flag], off[flag]
+    assert on == off
+    # The CSV keeps its columns; the flag shows only in the cells.
+    assert (tmp_path / "on.csv").read_text().splitlines()[0] == benchlab.CSV_HEADER
+
+
 def test_bench_invalid_config(tmp_path, capsys):
     code = main(["bench", "--n", "24", "--m", "24", "--k", "3",
                  "--trials", "1", "--csv", str(tmp_path / "x.csv"),
@@ -306,7 +321,7 @@ def test_bench_k_range_expands_inclusively(tmp_path, capsys):
 # SHA-256 of a tiny bench run's CSV, JSON report and trial log with their
 # wall-time fields cut. A change that means to alter a reported number or
 # the report format updates it and says what moved and why.
-BENCH_REPORTS_SHA256 = "ff112b035dcfc4749edec6f1c3a7f455a073adb6a70c55d35bcf598f2fcfe20f"
+BENCH_REPORTS_SHA256 = "d256e309746a98f72050551377abd88488ffd9f53ce09b8c95a360630a3b2259"
 
 
 def _reports_digest(tmp_path):

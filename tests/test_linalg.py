@@ -153,12 +153,28 @@ def test_ranking_does_not_keep_its_factor_alive():
     assert [first, *ranking] == expected
 
 
+def test_append_reads_numpy_column_indices_as_ints():
+    # 1 << np.int64(70) wraps to 0, so a numpy index would set no mask bit.
+    rng = np.random.default_rng(3)
+    a = np.asfortranarray(rng.standard_normal((6, 80)))
+    f = factor_init(a, rng.standard_normal(6))
+    for j in (np.int64(70), np.int32(2), np.uint8(64)):
+        f.append(a, j)
+    assert f.key == (2, 64, 70) and all(type(j) is int for j in f.key)
+    assert f.mask == (1 << 2) | (1 << 64) | (1 << 70)
+    assert f.copy().mask == f.mask
+    with pytest.raises(ValueError, match="already selected"):
+        f.append(a, np.int64(64))
+    with pytest.raises(TypeError):
+        f.append(a, 2.0)
+
+
 def test_factor_init_is_empty():
     a = np.eye(4)
     y = np.array([1.0, 2.0, 0.0, -1.0])
     f = factor_init(a, y)
     assert f.indices == []
-    assert f.k == 0
+    assert f.k == 0 and f.key == () and f.mask == 0
     np.testing.assert_array_equal(f.residual, y)
     assert f.residual_norm == pytest.approx(np.linalg.norm(y))
 
@@ -403,6 +419,7 @@ def assert_matches_replay(f, a, y, capacity):
     np.testing.assert_array_equal(f.residual, want.residual)
     assert f.residual_norm == want.residual_norm
     assert f.key == tuple(sorted(f.indices))
+    assert f.mask == sum(1 << j for j in f.indices)
 
 
 def test_shared_buffer_interleavings_match_fresh_replay():

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import math
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from pursuitlab import pursuit
-from pursuitlab.benchlab import gen_problem
+from pursuitlab.benchlab import derive_trial_seed, gen_problem, reference_configs
 from pursuitlab.linalg import DegenerateColumnError, IncrementalFactorization
 from pursuitlab.pursuit import (
     ADAPTIVE_MULTIPLICATIVE,
@@ -29,7 +30,7 @@ from pursuitlab.pursuit import (
     run_mmp_df,
     run_omp,
 )
-from pursuitlab.pursuit import _DUP, _ranked, _setup
+from pursuitlab.pursuit import _DUP, _Ranks, _setup
 
 from _oracles import (
     dense_omp,
@@ -150,6 +151,24 @@ def test_trie_matches_frozenset_oracle():
         seen.add(frozenset(sup))
         assert t.check_insert(sup) is expect_new
         assert (sup in t) is True
+
+
+def test_trie_names_a_support_by_mask_or_columns():
+    # Bit j of a mask is column j, here past one 64-bit word; numpy integer
+    # columns name the same bits (1 << np.int64(70) alone would wrap to 0).
+    t = SupportTrie()
+    cols = (70, 3, 64, 129)
+    mask = (1 << 3) | (1 << 64) | (1 << 70) | (1 << 129)
+    assert t.check_insert(mask) is True
+    for order in itertools.permutations(cols):
+        assert order in t
+        assert t.check_insert(list(order)) is False
+    assert tuple(np.array(cols)) in t
+    assert t.check_insert([np.int64(j) for j in cols]) is False
+    assert (3, 64, 70) not in t and mask & ~(1 << 129) not in t
+    assert t.check_insert((np.int64(64),)) is True
+    assert 1 << 64 in t and (0,) not in t and 1 not in t
+    assert t._seen == {mask, 1 << 64}
 
 
 # --- OMP --------------------------------------------------------------------
@@ -749,9 +768,29 @@ def test_mmp_df_memory_stays_near_omp():
 
     omp = peak(lambda: run_omp(prob.dictionary, y, rule))
     mmp_df = peak(lambda: run_mmp_df(prob.dictionary, y, config))
-    # A factor is one q buffer plus shared per-column records, and a copy
-    # copies nothing: about 4.95 MiB against OMP's 3.40 MiB, a ratio of 1.46.
-    assert mmp_df <= 1.5 * omp, (mmp_df, omp)
+    # A factor is one q buffer plus shared per-column records, a copy copies
+    # nothing, the registry holds one bitmask per support and the tree only
+    # each node's resolved columns: about 3.61 MiB against OMP's 3.11 MiB, a
+    # ratio of 1.16 (1.46 while every node kept its n correlations).
+    assert mmp_df <= 1.2 * omp, (mmp_df, omp)
+
+
+def test_largest_sweep_search_peak_memory():
+    # aomp-e at K=50, seed 7, trial 1 is the pinned sweep's largest search.
+    # Its registry holds one 60-byte bitmask per projected support, not a
+    # sorted tuple of up to 50 columns: the tracemalloc peak reads about
+    # 10.0 MiB, against 12.7 MiB with tuples.
+    prob = gen_problem(256, 100, 50, derive_trial_seed(7, 50, 1))
+    config = reference_configs()[1]
+    assert config.tag == "aomp-e"
+    tracemalloc.start()
+    try:
+        res = run(prob.dictionary, prob.observation, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.explored_nodes == 17271
+    assert peak <= 10.5 * 2**20, peak / 2**20
 
 
 def test_searches_leave_no_cyclic_garbage():
@@ -808,26 +847,26 @@ def _below_dup():
     a[0, 0] = a[0, 2] = a[1, 3] = a[2, 4] = a[3, 5] = 1.0
     y = np.array([3.0, 2.0, 1.0, 0.0])
     expand, root, *_ = _setup(a, y, TerminationRule.sparsity(3), trace=True)
-    ranks = (_ranked(a, root), [])
+    ranks = _Ranks()
     kids = [expand.rank(ranks, root, c) for c in range(6)]
     # The zero column holds no rank: column 5 moves up to rank 4, and there
     # is no rank 5.
     assert [f.key for f in kids[:5]] == [(0,), (2,), (3,), (4,), (5,)]
-    assert kids[5] is None and ranks[1] == [0, 2, 3, 4, 5]
-    assert expand.rank((_ranked(a, kids[2]), []), kids[2], 0).key == (0, 3)
+    assert kids[5] is None and ranks.cols == [0, 2, 3, 4, 5]
+    assert expand.rank(_Ranks(), kids[2], 0).key == (0, 3)
     return a, expand, kids[0]
 
 
 def test_expansion_rank_resolution():
     a, expand, f0 = _below_dup()
     explored, projected = expand.explored, list(expand.projected)
-    ranks = (_ranked(a, f0), [])
+    ranks = _Ranks()
     first = [expand.rank(ranks, f0, c) for c in range(4)]
     # The duplicate holds rank 0 without a projection; the zero column and
     # the copy of column 0 hold no rank, so column 5 takes rank 2.
     assert first[0] is _DUP and first[3] is None
     assert [f.key for f in first[1:3]] == [(0, 4), (0, 5)]
-    assert ranks[1] == [None, 4, 5]
+    assert ranks.cols == [None, 4, 5]
     assert expand.explored == explored + 2
     assert expand.projected == projected + [(0, 4), (0, 5)]
 
@@ -847,6 +886,74 @@ def test_expansion_rank_resolution():
         got = [f.key for f in expand.children(f0, width)]
         assert got == [f.key for f in first[:width] if f is not None and f is not _DUP]
         assert expand.explored == explored + min(width - 1, 2)
+
+
+class _KeptRanks(_Ranks):
+    # Ignores the walk's drop, so a node keeps its first ranking for the
+    # whole search: the walk as it was before rankings were dropped.
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if not (name == "ranking" and value is None and getattr(self, "ranking", None)):
+            super().__setattr__(name, value)
+
+
+def _rerank_case(seed):
+    # Rank 5 in 6 rows: unit vectors, a multiple of e0 and of e1, two sums
+    # and two zero columns, in a seeded order. An integer signal ties
+    # correlations at exact zero, so degenerate candidates rank between
+    # usable ones.
+    rng = np.random.default_rng(seed)
+    eye = np.eye(6)
+    pool = [*eye[:, :5].T, 2.0 * eye[:, 0], -eye[:, 1], np.zeros(6), np.zeros(6),
+            eye[:, 0] + eye[:, 1], eye[:, 2] + eye[:, 3]]
+    a = np.column_stack([pool[i] for i in rng.permutation(len(pool))])
+    return a, rng.integers(0, 4, 6).astype(float)
+
+
+def _outcome(res):
+    return (res.support, res.iterations, res.explored_nodes, res.paths_opened,
+            res.terminated_by, res.trace, res.residual_norm, res.estimate.tobytes())
+
+
+def test_mmp_df_rerank_matches_the_kept_ranking(monkeypatch):
+    # The depth-first walk drops a node's ranking once a visit asks for its
+    # last rank, and re-ranks from the rebuilt factor when a later total
+    # needs a new rank there, skipping every candidate taken before,
+    # degenerate ones included. It must resolve the same columns, counters
+    # and stop as a walk that keeps every ranking, with a branch factor
+    # above the dictionary's rank.
+    rank = pursuit._Expansion.rank
+    reranks = {"any": 0, "past_degenerate": 0}
+
+    def watched_rank(self, ranks, fact, c):
+        rerank = (ranks.ranking is None and c >= len(ranks.cols)
+                  and 0 < ranks.pulled < self.a.shape[1] - fact.k)
+        degenerate_taken = ranks.pulled > len(ranks.cols)
+        child = rank(self, ranks, fact, c)
+        if rerank:
+            reranks["any"] += 1
+            reranks["past_degenerate"] += degenerate_taken and child is not None
+        return child
+
+    monkeypatch.setattr(pursuit._Expansion, "rank", watched_rank)
+    for seed in (0, 2):
+        a, y = _rerank_case(seed)
+        assert np.linalg.matrix_rank(a) == 5
+        for rule in (TerminationRule.sparsity(5), TerminationRule.residual(1e-6, k_max=6)):
+            for max_paths in (8, 60):
+                config = _df_config(rule, branch_factor=6, max_paths=max_paths)
+                before = reranks["any"]
+                got = run_mmp_df(a, y, config, trace=True)
+                assert reranks["any"] > before, (seed, rule.kind, max_paths)
+                with monkeypatch.context() as kept:
+                    kept.setattr(pursuit, "_Ranks", _KeptRanks)
+                    before = dict(reranks)
+                    want = run_mmp_df(a, y, config, trace=True)
+                    assert reranks == before  # a kept ranking never re-ranks
+                assert _outcome(got) == _outcome(want), (seed, rule.kind, max_paths)
+    # Some re-rank resolved a new rank after degenerate candidates it skipped.
+    assert reranks["past_degenerate"] > 0
 
 
 def test_beam_and_best_first_make_no_uncounted_appends(monkeypatch):
