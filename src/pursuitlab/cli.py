@@ -90,12 +90,14 @@ def _write_json(path, doc, what):
 
 
 def _check_writable(*paths):
-    """Refuse, before any work, an output path that is a directory, lies in a
-    missing one, or names the same file as another output."""
+    """Refuse, before any work, an output path that is empty, is a directory,
+    lies in a missing one, or names the same file as another output."""
     seen = set()
     for path in paths:
         if path is None:
             continue
+        if not path:
+            raise ValueError("cannot write '': empty path")
         if os.path.isdir(path):
             raise ValueError(f"cannot write {path}: is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):

@@ -2,7 +2,6 @@
 
 import math
 import operator
-from bisect import bisect_left
 
 import numpy as np
 
@@ -48,18 +47,17 @@ class IncrementalFactorization:
     dictionary column j, its coordinates w on the earlier basis columns (the
     entries of r above the diagonal), the diagonal entry unorm and the
     projection c = q[:, k].T @ y. Besides the records in append order, a
-    factorization tracks their support twice: as the key, the same columns
-    as a sorted tuple, by which searches order tied paths and log supports,
-    and as the mask, an int whose bit j is set iff column j is selected, by
-    which they look supports up. It also tracks an orthonormal basis q of
-    their span and the residual of y against the span. One append costs
-    O(rows * size) instead of a dense re-solve. indices, r and qty are built
-    from the records when read, so q is the only buffer and reading a
-    factorization never writes to it.
+    factorization tracks their support as the mask, an int whose bit j is
+    set iff column j is selected, by which searches look supports up, skip
+    selected columns and order tied paths. It also tracks an orthonormal
+    basis q of their span and the residual of y against the span. One
+    append costs O(rows * size) instead of a dense re-solve. indices, r and
+    qty are built from the records when read, so q is the only buffer and
+    reading a factorization never writes to it.
 
     Instances are mutable; branch a search path by calling copy() first.
-    A copy shares q, the record list, the immutable key and mask and the
-    residual, and copies nothing. Factorizations with a common prefix share one q
+    A copy shares q, the record list, the immutable mask and the residual,
+    and copies nothing. Factorizations with a common prefix share one q
     buffer and one record list, of which the first k columns and records are
     theirs; written columns and records never change. An append at slot k
     claims it, writing q[:, k] and appending its record, iff the shared list
@@ -71,12 +69,10 @@ class IncrementalFactorization:
     residual never changes under another factorization.
     """
 
-    __slots__ = ("k", "key", "mask", "q", "records", "pending", "residual",
-                 "residual_norm")
+    __slots__ = ("k", "mask", "q", "records", "pending", "residual", "residual_norm")
 
     def __init__(self, rows, capacity, y):
         self.k = 0
-        self.key = ()
         self.mask = 0
         self.q = np.empty((rows, capacity), dtype=np.float64, order="F")
         self.records = []
@@ -123,7 +119,6 @@ class IncrementalFactorization:
             self._own()
         new = IncrementalFactorization.__new__(IncrementalFactorization)
         new.k = self.k
-        new.key = self.key
         new.mask = self.mask
         new.q = self.q
         new.records = self.records
@@ -181,8 +176,6 @@ class IncrementalFactorization:
         # A projection cannot lengthen the residual; clamp away rounding noise.
         self.residual_norm = min(self.residual_norm,
                                  math.sqrt(float(residual.dot(residual))))
-        pos = bisect_left(self.key, j)
-        self.key = self.key[:pos] + (j,) + self.key[pos:]
         self.mask |= bit
         self.k = k + 1
         return self

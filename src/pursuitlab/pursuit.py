@@ -24,7 +24,7 @@ search. Every search reports the same counters:
 
 import math
 import operator
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -271,22 +271,21 @@ def _ranked(a, fact):
     pulled from the returned iterator costs one argmax, plus one for each
     selected column that argmax reaches first. argmax returns the first
     maximum, so every prefix equals that of a full stable sort. The
-    iterator holds only the correlations and fact's immutable key, not
-    fact, so a walk that keeps it does not keep fact's buffer alive.
+    iterator holds only the correlations and fact's mask, not fact, so a
+    walk that keeps it does not keep fact's buffer alive.
     """
     corr = a.T.dot(fact.residual)
     np.abs(corr, out=corr)
-    return _by_rank(corr, fact.key, a.shape[1] - fact.k)
+    return _by_rank(corr, fact.mask, a.shape[1] - fact.k)
 
 
-def _by_rank(corr, selected, left):
-    # Selected columns stay in corr and are skipped when argmax reaches
-    # them; selected is the sorted support key.
+def _by_rank(corr, mask, left):
+    # Selected columns, the set bits of mask, stay in corr and are skipped
+    # when argmax reaches them.
     while left:
         j = int(corr.argmax())
         corr[j] = -1.0
-        pos = bisect_left(selected, j)
-        if pos < len(selected) and selected[pos] == j:
+        if mask >> j & 1:
             continue
         left -= 1
         yield j
@@ -338,7 +337,7 @@ class _Expansion:
     def complete(self, fact):
         """Log fact's support as a finished path; a no-op when not tracing."""
         if self.completed is not None:
-            self.completed.append(fact.key)
+            self.completed.append(tuple(sorted(fact.indices)))
 
     def child(self, fact, col):
         """Child of fact by column col; _DUP for a seen support, None for a degenerate col.
@@ -356,7 +355,7 @@ class _Expansion:
         self.trie.check_insert(mask)
         self.explored += 1
         if self.projected is not None:
-            self.projected.append(child.key)
+            self.projected.append(tuple(sorted(child.indices)))
         return child
 
     def rank(self, ranks, fact, c):
@@ -429,11 +428,16 @@ def _search(a, y, rule, trace, frontier, *args):
 
 
 def _residual_order(fact):
-    return fact.residual_norm, fact.key
+    return fact.residual_norm, fact.mask
 
 
 def _beam(expand, root, max_len, eps, branch, beam_cap):
-    """The level-synchronous beam behind run_mmp_bf and run_omp."""
+    """The level-synchronous beam behind run_mmp_bf and run_omp.
+
+    Each level keeps its beam_cap children of least residual norm. Exact
+    ties go to the smaller support mask: of the columns in one support but
+    not the other, the highest decides, and the support without it wins.
+    """
     beam = [root]
     iterations = 0
     opened = 1
@@ -573,11 +577,16 @@ def run_mmp_df(a, y, config, trace=False):
 
 
 def _best_first(expand, root, max_len, eps, config):
-    """The open-set search behind run_aomp."""
+    """The open-set search behind run_aomp.
+
+    The open set is ordered by cost, and exact cost ties go to the smaller
+    support mask as in _beam. Masks never tie: the registry lets each
+    support in once.
+    """
     model = config.cost_model
     cap = config.max_paths
     sparsity = config.termination.kind == SPARSITY
-    open_list = []   # (cost, support key, factorization), ascending
+    open_list = []   # (cost, support mask, factorization), ascending
     best_any = root
     iterations = 0
     opened = 0
@@ -599,14 +608,14 @@ def _best_first(expand, root, max_len, eps, config):
                 expand.complete(child)
             cost = path_cost(child.residual_norm, child.k, max_len, model,
                              parent.residual_norm)
-            insort(open_list, (cost, child.key, child))
+            insort(open_list, (cost, child.mask, child))
             if len(open_list) > cap:
                 open_list.pop()
         opened = max(opened, len(open_list))
 
     push(root, config.init_paths)
     while open_list:
-        _cost, _key, fact = open_list.pop(0)
+        _cost, _mask, fact = open_list.pop(0)
         if fact.residual_norm < eps or (sparsity and fact.k == max_len):
             if best_any.residual_norm < fact.residual_norm:
                 fact = best_any

@@ -102,22 +102,35 @@ def _mask_first(corr, selected):
     return ranked_reference(np.eye(corr.size), corr, selected)
 
 
-@pytest.mark.parametrize("corr, selected", [
-    ([0.5, 0.9, 0.2, 0.7], (1,)),                  # a selected column holds the max
-    ([0.9, 0.4, 0.9, 0.9, 0.1], (0,)),             # ties it from a lower index
-    ([0.3, 0.8, 0.8, 0.3, 0.8, 0.0], (1, 3)),      # ties at two levels
-    ([0.0, 0.0, 0.0, 0.0], (0, 2)),                # all tied at zero
-    ([0.6, 0.6, 0.6], (0, 1, 2)),                  # nothing left to rank
-    ([0.2, 0.5, 0.5, 0.5, 0.9], (2, 4)),           # selected between tied columns
-])
+def _columns(mask, n):
+    return [j for j in range(n) if mask >> j & 1]
+
+
+# selected is the mask of the selected columns: bit j is set iff j is
+# selected. Ids are numbered, since pytest names an int parameter by its value.
+_SKIP_CASES = [
+    ([0.5, 0.9, 0.2, 0.7], 0b10),                  # a selected column holds the max
+    ([0.9, 0.4, 0.9, 0.9, 0.1], 0b1),              # ties it from a lower index
+    ([0.3, 0.8, 0.8, 0.3, 0.8, 0.0], 0b1010),      # ties at two levels
+    ([0.0, 0.0, 0.0, 0.0], 0b101),                 # all tied at zero
+    ([0.6, 0.6, 0.6], 0b111),                      # nothing left to rank
+    ([0.2, 0.5, 0.5, 0.5, 0.9], 0b10100),          # selected between tied columns
+    # Selected columns past bit 63 hold the max; the rest tie in three levels.
+    ([1.0 if j in (0, 64, 129) else j % 3 / 3 for j in range(130)], 1 | 1 << 64 | 1 << 129),
+]
+
+
+@pytest.mark.parametrize("corr, selected", _SKIP_CASES,
+                         ids=[f"corr{i}-selected{i}" for i in range(len(_SKIP_CASES))])
 def test_rank_skips_selected_columns_like_a_mask(corr, selected):
     corr = np.array(corr)
-    want = _mask_first(corr, selected)
-    got = list(_by_rank(corr.copy(), selected, corr.size - len(selected)))
+    columns = _columns(selected, corr.size)
+    want = _mask_first(corr, columns)
+    got = list(_by_rank(corr.copy(), selected, corr.size - len(columns)))
     assert got == want
     # Every prefix is exact too: a lazy reader stops early.
     for n in range(len(want)):
-        ranking = _by_rank(corr.copy(), selected, corr.size - len(selected))
+        ranking = _by_rank(corr.copy(), selected, corr.size - len(columns))
         assert [next(ranking) for _ in range(n)] == want[:n]
 
 
@@ -128,9 +141,10 @@ def test_rank_skips_selected_columns_on_random_ties():
     for _ in range(300):
         n = int(rng.integers(1, 16))
         corr = rng.integers(0, 4, n) / 4.0
-        selected = tuple(sorted(rng.choice(n, int(rng.integers(0, n + 1)), replace=False).tolist()))
-        got = list(_by_rank(corr.copy(), selected, n - len(selected)))
-        assert got == _mask_first(corr, selected), (corr, selected)
+        mask = sum(1 << j for j in rng.choice(n, int(rng.integers(0, n + 1)), replace=False).tolist())
+        columns = _columns(mask, n)
+        got = list(_by_rank(corr.copy(), mask, n - len(columns)))
+        assert got == _mask_first(corr, columns), (corr, columns)
 
 
 def test_ranking_does_not_keep_its_factor_alive():
@@ -160,7 +174,7 @@ def test_append_reads_numpy_column_indices_as_ints():
     f = factor_init(a, rng.standard_normal(6))
     for j in (np.int64(70), np.int32(2), np.uint8(64)):
         f.append(a, j)
-    assert f.key == (2, 64, 70) and all(type(j) is int for j in f.key)
+    assert sorted(f.indices) == [2, 64, 70] and all(type(j) is int for j in f.indices)
     assert f.mask == (1 << 2) | (1 << 64) | (1 << 70)
     assert f.copy().mask == f.mask
     with pytest.raises(ValueError, match="already selected"):
@@ -174,7 +188,7 @@ def test_factor_init_is_empty():
     y = np.array([1.0, 2.0, 0.0, -1.0])
     f = factor_init(a, y)
     assert f.indices == []
-    assert f.k == 0 and f.key == () and f.mask == 0
+    assert f.k == 0 and f.mask == 0
     np.testing.assert_array_equal(f.residual, y)
     assert f.residual_norm == pytest.approx(np.linalg.norm(y))
 
@@ -418,8 +432,7 @@ def assert_matches_replay(f, a, y, capacity):
     np.testing.assert_array_equal(qty, want.qty)
     np.testing.assert_array_equal(f.residual, want.residual)
     assert f.residual_norm == want.residual_norm
-    assert f.key == tuple(sorted(f.indices))
-    assert f.mask == sum(1 << j for j in f.indices)
+    assert f.mask == sum(1 << j for j in f.indices) and f.mask.bit_count() == k
 
 
 def test_shared_buffer_interleavings_match_fresh_replay():
@@ -449,11 +462,11 @@ def test_shared_buffer_interleavings_match_fresh_replay():
                 seen["pending_copied"] += f.pending is not None
                 live.append(f.copy())
             elif op < 0.8:
-                free = [j for j in range(a.shape[1]) if j not in f.key]
+                free = [j for j in range(a.shape[1]) if not f.mask >> j & 1]
                 if f.k == capacity or not free:
                     continue
                 j = int(rng.choice(free))
-                q, records, pending, k, key = f.q, f.records, f.pending, f.k, f.key
+                q, records, pending, k, mask = f.q, f.records, f.pending, f.k, f.mask
                 fill = len(records)
                 residual = f.residual.copy()
                 if pending is None and fill > k:
@@ -461,7 +474,7 @@ def test_shared_buffer_interleavings_match_fresh_replay():
                 try:
                     f.append(a, j)
                 except DegenerateColumnError:
-                    assert f.k == k and f.key == key and j not in f.key
+                    assert f.k == k and f.mask == mask and not mask >> j & 1
                     np.testing.assert_array_equal(f.residual, residual)
                     # No pending column left behind, and no slot claimed.
                     assert f.pending is None

@@ -10,7 +10,7 @@ import pytest
 
 from pursuitlab import pursuit
 from pursuitlab.benchlab import derive_trial_seed, gen_problem, reference_configs
-from pursuitlab.linalg import DegenerateColumnError, IncrementalFactorization
+from pursuitlab.linalg import DegenerateColumnError, IncrementalFactorization, factor_init
 from pursuitlab.pursuit import (
     ADAPTIVE_MULTIPLICATIVE,
     ALGORITHMS,
@@ -851,9 +851,9 @@ def _below_dup():
     kids = [expand.rank(ranks, root, c) for c in range(6)]
     # The zero column holds no rank: column 5 moves up to rank 4, and there
     # is no rank 5.
-    assert [f.key for f in kids[:5]] == [(0,), (2,), (3,), (4,), (5,)]
+    assert [f.indices for f in kids[:5]] == [[0], [2], [3], [4], [5]]
     assert kids[5] is None and ranks.cols == [0, 2, 3, 4, 5]
-    assert expand.rank(_Ranks(), kids[2], 0).key == (0, 3)
+    assert sorted(expand.rank(_Ranks(), kids[2], 0).indices) == [0, 3]
     return a, expand, kids[0]
 
 
@@ -865,7 +865,7 @@ def test_expansion_rank_resolution():
     # The duplicate holds rank 0 without a projection; the zero column and
     # the copy of column 0 hold no rank, so column 5 takes rank 2.
     assert first[0] is _DUP and first[3] is None
-    assert [f.key for f in first[1:3]] == [(0, 4), (0, 5)]
+    assert [sorted(f.indices) for f in first[1:3]] == [[0, 4], [0, 5]]
     assert ranks.cols == [None, 4, 5]
     assert expand.explored == explored + 2
     assert expand.projected == projected + [(0, 4), (0, 5)]
@@ -875,7 +875,7 @@ def test_expansion_rank_resolution():
     again = [expand.rank(ranks, f0, c) for c in range(4)]
     assert again[0] is _DUP and again[3] is None
     for old, new in zip(first[1:3], again[1:3]):
-        assert new is not old and new.key == old.key
+        assert new is not old and new.mask == old.mask
         assert new.residual.tobytes() == old.residual.tobytes()
         assert new.coefficients().tobytes() == old.coefficients().tobytes()
     assert expand.explored == explored + 2 and expand.trie._seen == seen
@@ -883,8 +883,8 @@ def test_expansion_rank_resolution():
     # children(fact, w) is rank over c < w, duplicates left out.
     for width in range(1, 5):
         a, expand, f0 = _below_dup()
-        got = [f.key for f in expand.children(f0, width)]
-        assert got == [f.key for f in first[:width] if f is not None and f is not _DUP]
+        got = [f.mask for f in expand.children(f0, width)]
+        assert got == [f.mask for f in first[:width] if f is not None and f is not _DUP]
         assert expand.explored == explored + min(width - 1, 2)
 
 
@@ -1094,9 +1094,9 @@ def test_search_decisions_keep_a_margin(monkeypatch):
     base = list(_decision_records())
     by_rank, append = pursuit._by_rank, IncrementalFactorization.append
 
-    def perturbed_by_rank(corr, selected, left):
+    def perturbed_by_rank(corr, mask, left):
         corr *= 1.0 + scale * _unit_hash(corr)
-        return by_rank(corr, selected, left)
+        return by_rank(corr, mask, left)
 
     def perturbed_append(fact, a, j):
         append(fact, a, j)
@@ -1116,3 +1116,27 @@ def test_search_decisions_keep_a_margin(monkeypatch):
     # 6 of zero-dup's 14 runs take the other column of the pair (from
     # s = 1e-15 up); the rest of the set first moves at s = 1e-4.
     assert swapped == 6
+
+
+def test_exact_ties_go_to_the_smaller_mask():
+    # Columns 9 and 15 copy columns 2 and 6 bit for bit, so the supports
+    # {2, 6}, {2, 15}, {6, 9} and {9, 15} tie exactly. Sorted tuples would
+    # put (2, 15) before (6, 9); their masks put {6, 9} first.
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal((6, 16))
+    a[:, 9] = a[:, 2]
+    a[:, 15] = a[:, 6]
+    y = 2.0 * a[:, 2] + 0.5 * a[:, 6] + 0.4 * rng.standard_normal(6)
+    tied = [(2, 6), (6, 9), (2, 15), (9, 15)]
+    assert len({factor_init(a, y).append(a, j).append(a, k).residual_norm
+                for j, k in tied}) == 1
+    # The beam's last level completes all its children in beam order.
+    bf = run_mmp_bf(a, y, PursuitConfig("mmp-bf", TerminationRule.sparsity(2)), trace=True)
+    assert [s for s in bf.trace["completed"] if s in tied] == tied
+    # When {6, 9} arrives, the open set, capped at 4, holds {1, 2}, {1, 9},
+    # {2, 6} and {2, 15}. The cap keeps {6, 9} over {2, 15}, so the search
+    # later expands {2, 6} and then {6, 9}, by columns 5 and 4.
+    config = PursuitConfig("aomp", TerminationRule.sparsity(3), init_paths=3,
+                           expand_branches=3, max_paths=4, cost_model=CostModel(alpha=0.5))
+    bestfirst = run_aomp(a, y, config, trace=True)
+    assert bestfirst.trace["projected"][-4:] == [(2, 5, 6), (2, 4, 6), (5, 6, 9), (4, 6, 9)]
