@@ -348,8 +348,9 @@ def _sig12(x):
 def emit_report(report, fmt, path=None):
     """Render a sweep report as CSV or JSON; optionally write it to path.
 
-    All numbers are serialized at 12 significant digits, so a JSON document
-    parses and re-serializes byte-identically.
+    The results, the CSV rows and the JSON cells, are rounded to 12
+    significant digits; the JSON config block records its inputs exactly.
+    Either way a JSON document parses and re-serializes byte-identically.
     """
     rows = [_row(c) for c in report.cells]
     if fmt == "csv":
@@ -363,7 +364,7 @@ def emit_report(report, fmt, path=None):
             "config": {"n": report.n, "m": report.m,
                        "k_values": list(report.k_values),
                        "trials_per_k": report.trials_per_k,
-                       "exact_tol": _sig12(report.exact_tol),
+                       "exact_tol": report.exact_tol,
                        "normalize_columns": report.normalize_columns,
                        "flat_amplitudes": report.flat_amplitudes,
                        "configurations": list(report.configs)},

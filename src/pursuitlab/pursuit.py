@@ -8,8 +8,8 @@ result. What differs is the frontier it is given, the function that
 schedules partial paths over the child step _Expansion: _beam (breadth
 first; OMP is the beam with one branch and one surviving path),
 _depth_first and _best_first. In that step, _Expansion.child is the only
-projection of a new support, _Expansion.rank the only way a frontier turns
-a branch rank into a child, and _Expansion.complete the one log of
+projection of a new support, _Expansion.ranked the one generator that
+turns a ranking into children, and _Expansion.complete the one log of
 finished paths. Only the depth-first walk comes back to a node, so only it
 keeps a node's resolved ranks across calls. run() maps a config to its
 search. Every search reports the same counters:
@@ -270,9 +270,7 @@ def _ranked(a, fact):
     Lazy and exact: the correlations are computed once, and each column
     pulled from the returned iterator costs one argmax, plus one for each
     selected column that argmax reaches first. argmax returns the first
-    maximum, so every prefix equals that of a full stable sort. The
-    iterator holds only the correlations and fact's mask, not fact, so a
-    walk that keeps it does not keep fact's buffer alive.
+    maximum, so every prefix equals that of a full stable sort.
     """
     corr = a.T.dot(fact.residual)
     np.abs(corr, out=corr)
@@ -296,21 +294,18 @@ _DUP = object()
 
 
 class _Ranks:
-    """A node's branch ranks: the columns resolved so far and how to resolve more.
+    """A node's branch ranks: the columns resolved so far and the candidates taken.
 
-    cols[c] is the column at branch rank c, or None for a duplicate.
-    ranking is the node's lazy _ranked iterator, made when a rank past cols
-    is first asked for, or None; pulled counts the candidates taken from it,
-    degenerate ones included. So a holder may drop the ranking to free its
-    correlations: a factor rebuilt along the same path is bit-identical, its
-    ranking is the same, and the rebuilt one resumes after pulled
-    candidates.
+    cols[c] is the column at branch rank c, or None for a duplicate. pulled
+    counts the candidates of the node's ranking taken so far, degenerate
+    ones included. A _Ranks holds no ranking and no factor: a factor rebuilt
+    along the same path is bit-identical, so its ranking is the same, and a
+    new rank is resolved from a fresh ranking that skips pulled candidates.
     """
 
-    __slots__ = ("ranking", "cols", "pulled")
+    __slots__ = ("cols", "pulled")
 
     def __init__(self):
-        self.ranking = None
         self.cols = []
         self.pulled = 0
 
@@ -320,9 +315,10 @@ class _Expansion:
 
     Holds the search's support registry, its explored-node count and, when
     tracing, the logs of projected and of completed supports. child() is the
-    only projection of a new support, and rank() the only way a search turns
-    a branch rank into a child; the searches differ only in which ranks they
-    ask for and how they schedule the children.
+    only projection of a new support, and ranked() the only way a search
+    turns branch ranks into children, through children() or rank(); the
+    searches differ only in which ranks they ask for and how they schedule
+    the children.
     """
 
     __slots__ = ("a", "trie", "explored", "projected", "completed")
@@ -358,47 +354,44 @@ class _Expansion:
             self.projected.append(tuple(sorted(child.indices)))
         return child
 
+    def ranked(self, ranks, fact):
+        """Children of fact at its unresolved branch ranks, in rank order.
+
+        Ranks fact once and skips the ranks.pulled candidates taken before.
+        Each new rank appends its column to ranks.cols, None for a
+        duplicate, and yields the child: a factor, or _DUP for a support
+        already registered. A degenerate column holds no rank and later
+        ranks shift past it.
+        """
+        if ranks.pulled == self.a.shape[1] - fact.k:  # every candidate taken
+            return
+        for col in islice(_ranked(self.a, fact), ranks.pulled, None):
+            ranks.pulled += 1
+            child = self.child(fact, col)
+            if child is not None:
+                ranks.cols.append(None if child is _DUP else col)
+                yield child
+
     def rank(self, ranks, fact, c):
         """Child of fact at branch rank c: a factor, _DUP, or None past the last rank.
 
-        ranks is fact's _Ranks. children() makes a fresh one per call; the
-        depth-first walk keeps one per node, and since a _Ranks holds no
-        factor its tree keeps no factor buffer alive. Ranks resolve in
-        order, so resolving rank c projects every unresolved rank below it
-        too. A degenerate column holds no rank and later ranks shift past
-        it; a duplicate holds one without a projection. A rank resolved
-        earlier is rebuilt by an uncounted append, which reproduces the
-        first child bit for bit; a dropped ranking is re-ranked from fact.
+        ranks is fact's _Ranks, which the depth-first walk keeps per node;
+        since a _Ranks holds no factor its tree keeps no factor buffer
+        alive. A rank resolved earlier is rebuilt by an uncounted append,
+        which reproduces the first child bit for bit. Otherwise fact is
+        re-ranked, and resolving rank c projects every unresolved rank
+        below it too; a duplicate holds a rank without a projection.
         """
         cols = ranks.cols
         if c < len(cols):
             col = cols[c]
             return _DUP if col is None else fact.copy().append(self.a, col)
-        if ranks.ranking is None:
-            if ranks.pulled == self.a.shape[1] - fact.k:  # every candidate taken
-                return None
-            ranks.ranking = islice(_ranked(self.a, fact), ranks.pulled, None)
-        for col in ranks.ranking:
-            ranks.pulled += 1
-            child = self.child(fact, col)
-            if child is None:
-                continue
-            cols.append(None if child is _DUP else col)
-            if len(cols) > c:
-                return child
-        return None
+        return next(islice(self.ranked(ranks, fact), c - len(cols), None), None)
 
     def children(self, fact, width):
         """New children of fact at branch ranks 0..width-1; duplicates are left out."""
-        ranks = _Ranks()
-        out = []
-        for c in range(width):
-            child = self.rank(ranks, fact, c)
-            if child is None:
-                break
-            if child is not _DUP:
-                out.append(child)
-        return out
+        return [child for child in islice(self.ranked(_Ranks(), fact), width)
+                if child is not _DUP]
 
 
 def _search(a, y, rule, trace, frontier, *args):
@@ -501,11 +494,10 @@ def _paths(expand, tree, root, total, branch, max_len, eps):
 
     Lazy, in walk order: a caller that stops pulling stops projecting. The
     walk keeps its own stack, one record per level: [fact, its _Ranks (kept
-    in tree across totals), branch sum left, next rank, last rank]. A
-    node's ranking lives only while the visit may resolve a rank there: it
-    is dropped once the visit asks for its last rank, so the tree holds
-    resolved columns, not n correlations per node, and a later total that
-    needs a new rank re-ranks from the rebuilt factor.
+    in tree across totals), branch sum left, next rank, last rank]. The
+    tree holds resolved columns, not n correlations per node: a ranking
+    lives for one call of the child step, and a later total that needs a
+    new rank re-ranks the rebuilt factor.
     """
     stack = []
     fact, remaining = root, total
@@ -528,8 +520,6 @@ def _paths(expand, tree, root, total, branch, max_len, eps):
             parent, ranks, left, c, last = level
             level[3] = c + 1
             child = expand.rank(ranks, parent, c) if c <= last else None
-            if c == last:
-                ranks.ranking = None
             if child is None:
                 stack.pop()
                 if c == 0 and left == 0:  # no candidate at all: stuck, and complete

@@ -269,6 +269,18 @@ def test_bench_json_header_names_the_problem_family(tmp_path, capsys, flag):
     assert (tmp_path / "on.csv").read_text().splitlines()[0] == benchlab.CSV_HEADER
 
 
+def test_bench_json_config_records_its_inputs_exactly(tmp_path, capsys):
+    # The cells are rounded to 12 significant digits, the config block is
+    # not: it names the tolerances the trials were run and classified with.
+    tol, eps = 0.0123456789012345, 1.234567890123456e-3
+    assert main(_bench_args(tmp_path, "x", ["--exact-tol", repr(tol), "--eps", repr(eps)])) == 0
+    capsys.readouterr()
+    config = json.loads((tmp_path / "x.json").read_text())["config"]
+    assert config["exact_tol"] == tol
+    assert [c["termination"]["epsilon_rel"] for c in config["configurations"]
+            if c["termination"]["kind"] == "residual"] == [eps, eps]
+
+
 def test_bench_invalid_config(tmp_path, capsys):
     code = main(["bench", "--n", "24", "--m", "24", "--k", "3",
                  "--trials", "1", "--csv", str(tmp_path / "x.csv"),

@@ -888,16 +888,6 @@ def test_expansion_rank_resolution():
         assert expand.explored == explored + min(width - 1, 2)
 
 
-class _KeptRanks(_Ranks):
-    # Ignores the walk's drop, so a node keeps its first ranking for the
-    # whole search: the walk as it was before rankings were dropped.
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        if not (name == "ranking" and value is None and getattr(self, "ranking", None)):
-            super().__setattr__(name, value)
-
-
 def _rerank_case(seed):
     # Rank 5 in 6 rows: unit vectors, a multiple of e0 and of e1, two sums
     # and two zero columns, in a seeded order. An integer signal ties
@@ -916,44 +906,92 @@ def _outcome(res):
             res.terminated_by, res.trace, res.residual_norm, res.estimate.tobytes())
 
 
+def _rerank_configs():
+    for rule in (TerminationRule.sparsity(5), TerminationRule.residual(1e-6, k_max=6)):
+        for max_paths in (8, 60):
+            yield _df_config(rule, branch_factor=6, max_paths=max_paths)
+
+
 def test_mmp_df_rerank_matches_the_kept_ranking(monkeypatch):
-    # The depth-first walk drops a node's ranking once a visit asks for its
-    # last rank, and re-ranks from the rebuilt factor when a later total
-    # needs a new rank there, skipping every candidate taken before,
-    # degenerate ones included. It must resolve the same columns, counters
-    # and stop as a walk that keeps every ranking, with a branch factor
-    # above the dictionary's rank.
-    rank = pursuit._Expansion.rank
+    # A ranking lives for one call of the child step: when a later total
+    # needs a new rank at a depth-first node, the walk re-ranks the rebuilt
+    # factor and skips every candidate taken before, degenerate ones
+    # included. It must resolve the same columns, counters and stop as a
+    # walk that keeps every node's first ranking for the whole search, with
+    # a branch factor above the dictionary's rank.
+    ranked, rank_order = pursuit._Expansion.ranked, pursuit._ranked
     reranks = {"any": 0, "past_degenerate": 0}
+    kept = {}
 
-    def watched_rank(self, ranks, fact, c):
-        rerank = (ranks.ranking is None and c >= len(ranks.cols)
-                  and 0 < ranks.pulled < self.a.shape[1] - fact.k)
-        degenerate_taken = ranks.pulled > len(ranks.cols)
-        child = rank(self, ranks, fact, c)
-        if rerank:
-            reranks["any"] += 1
-            reranks["past_degenerate"] += degenerate_taken and child is not None
-        return child
+    def watched_ranked(self, ranks, fact):
+        rerank = 0 < ranks.pulled < self.a.shape[1] - fact.k
+        # pulled counts degenerate candidates too, cols does not.
+        past_degenerate = rerank and ranks.pulled > len(ranks.cols)
+        reranks["any"] += rerank
+        for child in ranked(self, ranks, fact):
+            reranks["past_degenerate"] += past_degenerate
+            yield child
 
-    monkeypatch.setattr(pursuit._Expansion, "rank", watched_rank)
+    def kept_ranked(a, fact):
+        # Each support's full order, computed once and replayed.
+        if fact.mask not in kept:
+            kept[fact.mask] = list(rank_order(a, fact))
+        return iter(kept[fact.mask])
+
+    monkeypatch.setattr(pursuit._Expansion, "ranked", watched_ranked)
     for seed in (0, 2):
         a, y = _rerank_case(seed)
         assert np.linalg.matrix_rank(a) == 5
-        for rule in (TerminationRule.sparsity(5), TerminationRule.residual(1e-6, k_max=6)):
-            for max_paths in (8, 60):
-                config = _df_config(rule, branch_factor=6, max_paths=max_paths)
-                before = reranks["any"]
-                got = run_mmp_df(a, y, config, trace=True)
-                assert reranks["any"] > before, (seed, rule.kind, max_paths)
-                with monkeypatch.context() as kept:
-                    kept.setattr(pursuit, "_Ranks", _KeptRanks)
-                    before = dict(reranks)
-                    want = run_mmp_df(a, y, config, trace=True)
-                    assert reranks == before  # a kept ranking never re-ranks
-                assert _outcome(got) == _outcome(want), (seed, rule.kind, max_paths)
+        for config in _rerank_configs():
+            where = (seed, config.termination.kind, config.max_paths)
+            before = reranks["any"]
+            got = run_mmp_df(a, y, config, trace=True)
+            walk = reranks["any"] - before
+            assert walk > 0, where
+            with monkeypatch.context() as m:
+                m.setattr(pursuit, "_ranked", kept_ranked)
+                kept.clear()
+                want = run_mmp_df(a, y, config, trace=True)
+            # Each of the reference's re-ranks replays a kept order.
+            assert reranks["any"] - before == 2 * walk, where
+            assert _outcome(got) == _outcome(want), where
     # Some re-rank resolved a new rank after degenerate candidates it skipped.
     assert reranks["past_degenerate"] > 0
+
+
+def test_mmp_df_asks_each_node_for_one_new_rank_per_visit(monkeypatch):
+    # A depth-first node is visited at remaining branch sums 0, 1, 2, ...,
+    # so a visit asks for at most one rank past those resolved, the next
+    # one, unless every candidate there is taken. A ranking kept past one
+    # call of the child step would never be used again, so the walk makes
+    # as many rankings as one that kept every node's ranking: the counts
+    # below.
+    calls = {"ranked": 0, "new": 0, "skipping": 0}
+    rank_order, rank = pursuit._ranked, pursuit._Expansion.rank
+
+    def counted_ranked(a, fact):
+        calls["ranked"] += 1
+        return rank_order(a, fact)
+
+    def watched_rank(self, ranks, fact, c):
+        if c >= len(ranks.cols):
+            calls["new"] += 1
+            calls["skipping"] += (c > len(ranks.cols)
+                                  and ranks.pulled < self.a.shape[1] - fact.k)
+        return rank(self, ranks, fact, c)
+
+    monkeypatch.setattr(pursuit, "_ranked", counted_ranked)
+    monkeypatch.setattr(pursuit._Expansion, "rank", watched_rank)
+    for name, a, y, k in _fingerprint_cases():
+        for config in _fingerprint_configs(k):
+            run(a, y, config, trace=True)
+    assert calls == {"ranked": 9493, "new": 1950, "skipping": 0}
+    calls.update(ranked=0, new=0)
+    for seed in (0, 2):
+        a, y = _rerank_case(seed)
+        for config in _rerank_configs():
+            run_mmp_df(a, y, config, trace=True)
+    assert calls == {"ranked": 2724, "new": 6767, "skipping": 0}
 
 
 def test_beam_and_best_first_make_no_uncounted_appends(monkeypatch):
