@@ -45,7 +45,6 @@ __all__ = [
     "nmse_value",
     "run_trial",
     "run_sweep",
-    "anmse",
     "reference_configs",
     "emit_report",
 ]
@@ -202,14 +201,6 @@ def run_trial(problem, config, exact_tol=DEFAULT_EXACT_TOL):
                        wall_time_s=wall)
 
 
-def anmse(nmse_values):
-    """Arithmetic mean of per-trial normalized errors."""
-    values = list(nmse_values)
-    if not values:
-        raise ValueError("anmse of an empty list")
-    return float(sum(values)) / len(values)
-
-
 def _trial_batch(n, m, global_seed, configs, exact_tol, normalize_columns,
                  flat_amplitudes, slot):
     """All configs on the problem of one (k, trial) slot; the process-pool work unit."""
@@ -306,7 +297,7 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
             cells.append(SweepCell(
                 k=k, algorithm=cfg.tag, trials=len(trials),
                 exact_rate=sum(t.exact for t in trials) / len(trials),
-                anmse=anmse([t.nmse for t in trials]),
+                anmse=float(sum(t.nmse for t in trials)) / len(trials),
                 mean_iterations=float(np.mean([t.iterations for t in trials])),
                 mean_explored_nodes=float(np.mean([t.explored_nodes
                                                    for t in trials])),

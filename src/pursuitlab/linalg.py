@@ -24,6 +24,8 @@ class DegenerateColumnError(ValueError):
 
 def as_matrix(a):
     """Validate and return a as a finite float64 matrix in column-major layout."""
+    if np.iscomplexobj(a):  # float64 would drop the imaginary part with only a warning
+        raise ValueError("matrix entries must be real, not complex")
     m = np.asfortranarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {np.shape(a)}")
@@ -31,7 +33,10 @@ def as_matrix(a):
         raise ValueError("matrix entries must be finite")
     return m
 
+
 def as_vector(y):
+    if np.iscomplexobj(y):
+        raise ValueError("vector entries must be real, not complex")
     v = np.ascontiguousarray(y, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError(f"expected a 1-d vector, got shape {np.shape(y)}")

@@ -11,8 +11,9 @@ _depth_first and _best_first. In that step, _Expansion.child is the only
 projection of a new support, _Expansion.ranked the one generator that
 turns a ranking into children, and _Expansion.complete the one log of
 finished paths. Only the depth-first walk comes back to a node, so only it
-keeps a node's resolved ranks across calls. run() maps a config to its
-search. Every search reports the same counters:
+keeps a node's resolved ranks across calls: it rebuilds a resolved rank
+itself and draws at most one new rank per visit from ranked. run() maps a
+config to its search. Every search reports the same counters:
 
 - iterations: rounds in which the search ranked a path's candidate columns
   and grew from them. run_omp and run_mmp_bf count levels that made at
@@ -41,7 +42,7 @@ __all__ = [
     "SPARSITY", "RESIDUAL", "MULTIPLICATIVE", "ADAPTIVE_MULTIPLICATIVE", "ADAPTIVE_ALPHA",
     "RESIDUAL_MET", "SPARSITY_MET", "PATH_BUDGET_EXHAUSTED", "ALGORITHMS",
     "DegenerateDictionaryError", "TerminationRule", "CostModel",
-    "PursuitConfig", "PursuitResult", "SupportTrie", "path_cost",
+    "PursuitConfig", "PursuitResult", "SupportTrie",
     "run_omp", "run_mmp_bf", "run_mmp_df", "run_aomp", "run",
 ]
 
@@ -67,6 +68,17 @@ class DegenerateDictionaryError(ValueError):
     """No usable column at the first level: every candidate is degenerate."""
 
 
+def _count(name, value):
+    # A count is an integer (a numpy integer too) of at least 1; a fractional
+    # one would let a budget or a length cap never be met exactly.
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class TerminationRule:
     """When a single path stops growing and when it counts as a solution.
@@ -85,12 +97,11 @@ class TerminationRule:
     def __post_init__(self):
         if self.kind not in (SPARSITY, RESIDUAL):
             raise ValueError(f"unknown termination kind {self.kind!r}")
-        if self.kind == SPARSITY and self.k is not None and self.k < 1:
-            raise ValueError("sparsity target k must be >= 1")
+        if self.kind == SPARSITY and self.k is not None:
+            _count("sparsity target k", self.k)
         if not 0.0 < self.epsilon_rel < 1.0:
             raise ValueError("epsilon_rel must lie in (0, 1)")
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+        _count("k_max", self.k_max)
 
     @classmethod
     def sparsity(cls, k):
@@ -130,23 +141,6 @@ class CostModel:
             raise ValueError(f"unknown cost model kind {self.kind!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-
-
-def path_cost(residual_norm, path_len, target_length, model, prev_residual_norm=None):
-    """Cost under model of a partial path toward target_length; lower is expanded first.
-
-    The adaptive-multiplicative kind needs prev_residual_norm, the parent
-    path's residual norm before the latest column was appended.
-    """
-    if path_len > target_length:
-        raise ValueError(f"path length {path_len} exceeds target {target_length}")
-    base = model.alpha
-    if model.kind == ADAPTIVE_MULTIPLICATIVE:
-        if prev_residual_norm is None:
-            raise ValueError("adaptive-multiplicative cost needs prev_residual_norm")
-        if prev_residual_norm > 0.0:
-            base = min(1.0, model.alpha * residual_norm / prev_residual_norm)
-    return residual_norm * base ** (target_length - path_len)
 
 
 class SupportTrie:
@@ -211,8 +205,7 @@ class PursuitConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         for name in ("branch_factor", "beam_width", "init_paths",
                      "expand_branches", "max_paths"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            _count(name, getattr(self, name))
 
     @property
     def tag(self):
@@ -316,9 +309,10 @@ class _Expansion:
     Holds the search's support registry, its explored-node count and, when
     tracing, the logs of projected and of completed supports. child() is the
     only projection of a new support, and ranked() the only way a search
-    turns branch ranks into children, through children() or rank(); the
-    searches differ only in which ranks they ask for and how they schedule
-    the children.
+    turns branch ranks into children: the beam and the best-first search
+    take a fresh node's first ranks through children(), and the depth-first
+    walk takes one new rank per visit of a kept node. The searches differ
+    only in which ranks they ask for and how they schedule the children.
     """
 
     __slots__ = ("a", "trie", "explored", "projected", "completed")
@@ -357,11 +351,12 @@ class _Expansion:
     def ranked(self, ranks, fact):
         """Children of fact at its unresolved branch ranks, in rank order.
 
-        Ranks fact once and skips the ranks.pulled candidates taken before.
-        Each new rank appends its column to ranks.cols, None for a
-        duplicate, and yields the child: a factor, or _DUP for a support
-        already registered. A degenerate column holds no rank and later
-        ranks shift past it.
+        Ranks fact once and skips the ranks.pulled candidates taken before,
+        so a rebuilt factor, bit-identical to the first, goes on where its
+        last ranking stopped. Each new rank appends its column to
+        ranks.cols, None for a duplicate, and yields the child: a factor, or
+        _DUP for a support already registered. A degenerate column holds no
+        rank and later ranks shift past it.
         """
         if ranks.pulled == self.a.shape[1] - fact.k:  # every candidate taken
             return
@@ -371,22 +366,6 @@ class _Expansion:
             if child is not None:
                 ranks.cols.append(None if child is _DUP else col)
                 yield child
-
-    def rank(self, ranks, fact, c):
-        """Child of fact at branch rank c: a factor, _DUP, or None past the last rank.
-
-        ranks is fact's _Ranks, which the depth-first walk keeps per node;
-        since a _Ranks holds no factor its tree keeps no factor buffer
-        alive. A rank resolved earlier is rebuilt by an uncounted append,
-        which reproduces the first child bit for bit. Otherwise fact is
-        re-ranked, and resolving rank c projects every unresolved rank
-        below it too; a duplicate holds a rank without a projection.
-        """
-        cols = ranks.cols
-        if c < len(cols):
-            col = cols[c]
-            return _DUP if col is None else fact.copy().append(self.a, col)
-        return next(islice(self.ranked(ranks, fact), c - len(cols), None), None)
 
     def children(self, fact, width):
         """New children of fact at branch ranks 0..width-1; duplicates are left out."""
@@ -495,9 +474,19 @@ def _paths(expand, tree, root, total, branch, max_len, eps):
     Lazy, in walk order: a caller that stops pulling stops projecting. The
     walk keeps its own stack, one record per level: [fact, its _Ranks (kept
     in tree across totals), branch sum left, next rank, last rank]. The
-    tree holds resolved columns, not n correlations per node: a ranking
-    lives for one call of the child step, and a later total that needs a
-    new rank re-ranks the rebuilt factor.
+    tree holds resolved columns, not n correlations per node. A rank
+    resolved on an earlier visit is rebuilt by an uncounted append, which
+    reproduces the first child bit for bit, or is _DUP; an unresolved rank
+    is drawn from a fresh ranking of the rebuilt factor through ranked.
+
+    A visit draws at most one new rank, rank len(ranks.cols). A node is
+    first visited at remaining branch sum 0, when its total equals its
+    prefix's rank sum, and after that once per total, at remaining 1, 2,
+    ..., until the headroom rule drops it. Visit r asks for ranks
+    max(0, r - headroom) to min(branch - 1, r), and every earlier visit
+    r' < r already asked for rank min(branch - 1, r'). So the only rank
+    visit r can find unresolved is its last, which is len(ranks.cols)
+    unless every candidate is taken, and then ranked returns at once.
     """
     stack = []
     fact, remaining = root, total
@@ -519,7 +508,13 @@ def _paths(expand, tree, root, total, branch, max_len, eps):
             level = stack[-1]
             parent, ranks, left, c, last = level
             level[3] = c + 1
-            child = expand.rank(ranks, parent, c) if c <= last else None
+            if c > last:
+                child = None
+            elif c < len(ranks.cols):
+                col = ranks.cols[c]
+                child = _DUP if col is None else parent.copy().append(expand.a, col)
+            else:
+                child = next(expand.ranked(ranks, parent), None)
             if child is None:
                 stack.pop()
                 if c == 0 and left == 0:  # no candidate at all: stuck, and complete
@@ -566,6 +561,15 @@ def run_mmp_df(a, y, config, trace=False):
                    config.branch_factor, config.max_paths)
 
 
+def _path_cost(residual_norm, path_len, target_length, model, prev_residual_norm):
+    # Cost under model of a child path toward target_length, lower first;
+    # prev_residual_norm is its parent's residual norm.
+    base = model.alpha
+    if model.kind == ADAPTIVE_MULTIPLICATIVE and prev_residual_norm > 0.0:
+        base = min(1.0, model.alpha * residual_norm / prev_residual_norm)
+    return residual_norm * base ** (target_length - path_len)
+
+
 def _best_first(expand, root, max_len, eps, config):
     """The open-set search behind run_aomp.
 
@@ -596,8 +600,8 @@ def _best_first(expand, root, max_len, eps, config):
                 best_any = child
             if child.residual_norm < eps or child.k == max_len:
                 expand.complete(child)
-            cost = path_cost(child.residual_norm, child.k, max_len, model,
-                             parent.residual_norm)
+            cost = _path_cost(child.residual_norm, child.k, max_len, model,
+                              parent.residual_norm)
             insort(open_list, (cost, child.mask, child))
             if len(open_list) > cap:
                 open_list.pop()

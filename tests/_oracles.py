@@ -92,6 +92,94 @@ def mmp_df_paths(a, y, branch, depth, eps_rel=1e-6):
     return out
 
 
+def mmp_df_reference(a, y, branch, max_len, eps_rel, max_paths):
+    """From-scratch depth-first multipath pursuit with dedup and a path budget.
+
+    Dense QR residuals, full stable sorts and a set of visited supports; each
+    node keeps its sorted order, how many candidates it took and the columns
+    it resolved (None for a duplicate), and each total recurses afresh. A
+    rank is resolved when first asked for: the next candidates are taken in
+    order, a seen support holds a rank without a projection and a
+    degenerate column holds none. Completed paths are those at the length
+    cap or the residual target, or stuck with no candidate, whose ranks sum
+    to the total; ranks that leave more sum than the levels below can spend
+    are not tried. Returns the outcome and margin, the least relative gap
+    of any comparison it made (ranking neighbours, residual against target,
+    residual against the best), below which rounding may decide; the
+    degenerate-column test, at 1e-12 of the column norm, is not counted.
+    """
+    max_len = min(max_len, *a.shape)
+    eps = eps_rel * np.linalg.norm(y)
+    seen, nodes = set(), {}
+    out = {"projected": [], "completed": [], "margin": math.inf}
+
+    def orth(support, v):  # v less its projection on the span of support
+        if not support:
+            return v
+        q = np.linalg.qr(a[:, support])[0]
+        return v - q @ (q.T @ v)
+
+    def gap(u, v):
+        out["margin"] = min(out["margin"], abs(u - v) / (max(abs(u), abs(v)) or 1.0))
+
+    def rank(support, node, c):  # the column at rank c, None for a duplicate, -1 past the last
+        while len(node["cols"]) <= c:
+            if node["taken"] == len(node["order"]):
+                return -1
+            j = node["order"][node["taken"]]
+            node["taken"] += 1
+            if frozenset(support + [j]) in seen:
+                node["cols"].append(None)
+            elif np.linalg.norm(orth(support, a[:, j])) > 1e-12 * np.linalg.norm(a[:, j]):
+                seen.add(frozenset(support + [j]))
+                out["projected"].append(tuple(sorted(support + [j])))
+                node["cols"].append(j)
+        return node["cols"][c]
+
+    def visit(support, left):
+        r = orth(support, y)
+        norm = np.linalg.norm(r)
+        gap(norm, eps)
+        if norm < eps or len(support) == max_len:
+            if left == 0:
+                yield support, norm
+            return
+        key = frozenset(support)
+        if key not in nodes:
+            order = ranked_reference(a, r, support)
+            corr = np.abs(a.T @ r)[order]
+            for u, v in zip(corr, corr[1:]):
+                gap(u, v)
+            nodes[key] = {"order": order, "taken": 0, "cols": []}
+        headroom = (branch - 1) * (max_len - len(support) - 1)
+        for c in range(max(0, left - headroom), min(branch - 1, left) + 1):
+            col = rank(support, nodes[key], c)
+            if col == -1:
+                if c == 0 and left == 0:
+                    yield support, norm
+                return
+            if col is not None:
+                yield from visit(support + [col], left - c)
+
+    def by_total():
+        for total in range((branch - 1) * max_len + 1):
+            yield from visit([], total)
+
+    best, paths = None, 0
+    for support, norm in by_total():
+        paths += 1
+        out["completed"].append(tuple(sorted(support)))
+        if best is not None:
+            gap(norm, best[1])
+        if best is None or norm < best[1]:
+            best = (support, norm)
+        if best[1] < eps or paths == max_paths:
+            break
+    out.update(support=tuple(best[0]), iterations=len(nodes), explored=len(seen),
+               paths=paths, met=bool(best[1] < eps))
+    return out
+
+
 def random_orthonormal(rng, n):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return q

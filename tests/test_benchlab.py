@@ -12,7 +12,6 @@ from pursuitlab.benchlab import (
     SweepCell,
     SweepReport,
     TrialError,
-    anmse,
     derive_trial_seed,
     emit_report,
     gen_problem,
@@ -156,14 +155,6 @@ def test_run_trial_exact_tol_validation():
     for tol in (0.0, -1e-2, math.nan, math.inf):
         with pytest.raises(ValueError):
             run_trial(problem, cfg, exact_tol=tol)
-
-
-def test_anmse_examples():
-    assert anmse([0.0, 0.0, 0.0]) == 0.0
-    assert anmse([1.0]) == 1.0
-    assert anmse([0.1, 0.3]) == pytest.approx(0.2, abs=1e-15)
-    with pytest.raises(ValueError):
-        anmse([])
 
 
 # --- sweeps -----------------------------------------------------------------------

@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pursuitlab import PursuitConfig, TerminationRule, run
 from pursuitlab.linalg import DegenerateColumnError, as_vector, factor_init
 from pursuitlab.pursuit import _by_rank, _ranked
+from pursuitlab.ripcert import compute_ric
 
 from _oracles import ranked_reference
 
@@ -402,6 +404,24 @@ def test_init_validates_inputs():
         as_vector(np.ones((2, 2)))
     with pytest.raises(ValueError, match="capacity must be at least 1"):
         factor_init(np.ones((2, 2)), np.ones(2), capacity=0)
+
+
+def test_complex_inputs_are_refused():
+    # A float64 conversion would keep the real part and search that; every
+    # entry point refuses complex input instead, a zero imaginary part too.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 9))
+    y = a[:, :2] @ np.array([1.0, -2.0])
+    omp = PursuitConfig("omp", TerminationRule.sparsity(2))
+    for bad_a, bad_y in ((a + 1j * a, y), (a, y + 0j), (a.astype(np.complex64), y)):
+        with pytest.raises(ValueError, match="entries must be real"):
+            run(bad_a, bad_y, omp)
+        with pytest.raises(ValueError, match="entries must be real"):
+            factor_init(bad_a, bad_y)
+    with pytest.raises(ValueError, match="matrix entries must be real"):
+        compute_ric(a + 1j * a, 2)
+    with pytest.raises(ValueError, match="vector entries must be real"):
+        as_vector([1.0, 2j])
 
 
 def replay(a, y, indices, capacity):

@@ -23,17 +23,17 @@ from pursuitlab.pursuit import (
     PATH_BUDGET_EXHAUSTED,
     RESIDUAL_MET,
     SPARSITY_MET,
-    path_cost,
     run,
     run_aomp,
     run_mmp_bf,
     run_mmp_df,
     run_omp,
 )
-from pursuitlab.pursuit import _DUP, _Ranks, _setup
+from pursuitlab.pursuit import _DUP, _path_cost, _Ranks, _setup
 
 from _oracles import (
     dense_omp,
+    mmp_df_reference,
     projection_residual,
     random_orthonormal,
     replay_residual,
@@ -41,20 +41,22 @@ from _oracles import (
 )
 
 
+# --- the best-first cost ------------------------------------------------------
+# The parent's residual norm is read only by the adaptive kind; the
+# multiplicative cases pass 1.0.
+
 def test_path_cost_example():
     model = CostModel(alpha=0.8)
-    assert path_cost(1.0, 8, 10, model) == pytest.approx(0.64, abs=1e-15)
+    assert _path_cost(1.0, 8, 10, model, 1.0) == pytest.approx(0.64, abs=1e-15)
 
 
 def test_path_cost_alpha_one_is_residual():
     model = CostModel(alpha=1.0)
     for r in (0.0, 0.5, 2.5):
-        assert path_cost(r, 3, 30, model) == r
+        assert _path_cost(r, 3, 30, model, 1.0) == r
 
 
 def test_path_cost_validation():
-    with pytest.raises(ValueError):
-        path_cost(1.0, 11, 10, CostModel(alpha=0.8))
     with pytest.raises(ValueError):
         CostModel(alpha=0.0)
     with pytest.raises(ValueError):
@@ -67,7 +69,7 @@ def test_path_cost_adaptive_progress_discount():
     # One step cut the residual in half: base = min(1, 0.97 * 0.5) = 0.485,
     # and four levels remain to the target of five.
     model = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.97)
-    got = path_cost(0.5, 1, 5, model, prev_residual_norm=1.0)
+    got = _path_cost(0.5, 1, 5, model, 1.0)
     assert got == pytest.approx(0.5 * 0.485**4, abs=1e-15)
 
 
@@ -75,27 +77,20 @@ def test_path_cost_adaptive_stall_matches_fixed():
     # A step that leaves the residual unchanged falls back to plain alpha decay.
     adaptive = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.9)
     fixed = CostModel(kind=MULTIPLICATIVE, alpha=0.9)
-    assert path_cost(0.37, 3, 8, adaptive, prev_residual_norm=0.37) \
-        == path_cost(0.37, 3, 8, fixed)
+    assert _path_cost(0.37, 3, 8, adaptive, 0.37) == _path_cost(0.37, 3, 8, fixed, 0.37)
 
 
 def test_path_cost_adaptive_decay_clamped():
     # The per-step decay never exceeds one, so a (numerically) grown residual
     # cannot make a path look cheaper the further it sits from the target.
     model = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.9)
-    assert path_cost(1.2, 2, 10, model, prev_residual_norm=1.0) == 1.2
-
-
-def test_path_cost_adaptive_needs_prev():
-    model = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.9)
-    with pytest.raises(ValueError):
-        path_cost(0.5, 1, 10, model)
+    assert _path_cost(1.2, 2, 10, model, 1.0) == 1.2
 
 
 def test_path_cost_adaptive_zero_prev():
     # No usable ratio from an exhausted parent residual: decay stays at alpha.
     model = CostModel(kind=ADAPTIVE_MULTIPLICATIVE, alpha=0.5)
-    assert path_cost(0.0, 2, 4, model, prev_residual_norm=0.0) == 0.0
+    assert _path_cost(0.0, 2, 4, model, 0.0) == 0.0
 
 
 def test_termination_rule_validation():
@@ -124,6 +119,30 @@ def test_config_validation():
     cfg = PursuitConfig("aomp", rule, label="aomp-k")
     assert cfg.tag == "aomp-k"
     assert PursuitConfig("omp", rule).tag == "omp"
+
+
+@pytest.mark.parametrize("name", ["branch_factor", "beam_width", "init_paths",
+                                  "expand_branches", "max_paths"])
+def test_config_refuses_fractional_counts(name):
+    # The depth-first walk stops when its path count equals max_paths, so
+    # max_paths=3.5 would never bind. Each count is refused by name when the
+    # config is built; no search runs here.
+    rule = TerminationRule.sparsity(3)
+    for bad in (3.5, 3.0, np.float64(2.0), "3"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PursuitConfig("mmp-df", rule, **{name: bad})
+    assert getattr(PursuitConfig("mmp-df", rule, **{name: np.int64(3)}), name) == 3
+
+
+def test_termination_rule_refuses_fractional_counts():
+    for bad in (2.5, 2.0, np.float32(4.0)):
+        with pytest.raises(ValueError, match="sparsity target k must be an integer"):
+            TerminationRule.sparsity(bad)
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            TerminationRule.residual(k_max=bad)
+    assert TerminationRule.sparsity(np.int32(4)).max_len() == 4
+    assert TerminationRule.residual(k_max=np.uint8(4)).max_len() == 4
+    assert TerminationRule.sparsity(None).k is None
 
 
 # --- SupportTrie ------------------------------------------------------------
@@ -837,7 +856,7 @@ def test_mmp_df_completes_paths_stuck_below_the_length_cap():
     assert res.terminated_by == PATH_BUDGET_EXHAUSTED
 
 
-# --- the expansion kernel's rank resolver -------------------------------------
+# --- the expansion kernel's rank generator -----------------------------------
 
 def _below_dup():
     # Columns: 0 = e0, 1 = zero, 2 = a copy of column 0, 3 = e1, 4 = e2, 5 = e3.
@@ -848,12 +867,12 @@ def _below_dup():
     y = np.array([3.0, 2.0, 1.0, 0.0])
     expand, root, *_ = _setup(a, y, TerminationRule.sparsity(3), trace=True)
     ranks = _Ranks()
-    kids = [expand.rank(ranks, root, c) for c in range(6)]
+    kids = list(expand.ranked(ranks, root))
     # The zero column holds no rank: column 5 moves up to rank 4, and there
     # is no rank 5.
-    assert [f.indices for f in kids[:5]] == [[0], [2], [3], [4], [5]]
-    assert kids[5] is None and ranks.cols == [0, 2, 3, 4, 5]
-    assert sorted(expand.rank(_Ranks(), kids[2], 0).indices) == [0, 3]
+    assert [f.indices for f in kids] == [[0], [2], [3], [4], [5]]
+    assert ranks.cols == [0, 2, 3, 4, 5] and ranks.pulled == 6
+    assert sorted(next(expand.ranked(_Ranks(), kids[2])).indices) == [0, 3]
     return a, expand, kids[0]
 
 
@@ -861,30 +880,40 @@ def test_expansion_rank_resolution():
     a, expand, f0 = _below_dup()
     explored, projected = expand.explored, list(expand.projected)
     ranks = _Ranks()
-    first = [expand.rank(ranks, f0, c) for c in range(4)]
+    first = list(expand.ranked(ranks, f0))
     # The duplicate holds rank 0 without a projection; the zero column and
     # the copy of column 0 hold no rank, so column 5 takes rank 2.
-    assert first[0] is _DUP and first[3] is None
-    assert [sorted(f.indices) for f in first[1:3]] == [[0, 4], [0, 5]]
+    assert first[0] is _DUP and len(first) == 3
+    assert [sorted(f.indices) for f in first[1:]] == [[0, 4], [0, 5]]
     assert ranks.cols == [None, 4, 5]
     assert expand.explored == explored + 2
     assert expand.projected == projected + [(0, 4), (0, 5)]
+    # Every candidate is taken: a further call ranks nothing and yields none.
+    assert list(expand.ranked(ranks, f0)) == [] and ranks.cols == [None, 4, 5]
 
-    # A rank resolved earlier is rebuilt, identical and uncounted.
+    # One rank per call, as the depth-first walk draws them: each call
+    # re-ranks and skips the candidates taken before, degenerate ones too.
+    a, expand, f0 = _below_dup()
+    step = _Ranks()
+    one_by_one = [next(expand.ranked(step, f0), None) for _ in range(4)]
+    assert one_by_one[0] is _DUP and one_by_one[3] is None
+    assert [f.mask for f in one_by_one[1:3]] == [f.mask for f in first[1:]]
+    assert step.cols == ranks.cols and step.pulled == ranks.pulled
+
+    # A resolved rank, rebuilt by the walk's append, is identical and uncounted.
     seen = set(expand.trie._seen)
-    again = [expand.rank(ranks, f0, c) for c in range(4)]
-    assert again[0] is _DUP and again[3] is None
-    for old, new in zip(first[1:3], again[1:3]):
+    for old, col in zip(one_by_one[1:3], step.cols[1:]):
+        new = f0.copy().append(expand.a, col)
         assert new is not old and new.mask == old.mask
         assert new.residual.tobytes() == old.residual.tobytes()
         assert new.coefficients().tobytes() == old.coefficients().tobytes()
     assert expand.explored == explored + 2 and expand.trie._seen == seen
 
-    # children(fact, w) is rank over c < w, duplicates left out.
+    # children(fact, w) is ranked over ranks below w, duplicates left out.
     for width in range(1, 5):
         a, expand, f0 = _below_dup()
         got = [f.mask for f in expand.children(f0, width)]
-        assert got == [f.mask for f in first[:width] if f is not None and f is not _DUP]
+        assert got == [f.mask for f in first[:width] if f is not _DUP]
         assert expand.explored == explored + min(width - 1, 2)
 
 
@@ -959,39 +988,71 @@ def test_mmp_df_rerank_matches_the_kept_ranking(monkeypatch):
     assert reranks["past_degenerate"] > 0
 
 
+def test_mmp_df_matches_an_independent_reference():
+    # The walk against a from-scratch depth-first search that shares none of
+    # its code: dense QR residuals, full stable sorts, a set registry and a
+    # kept order per node. Runs whose reference made a comparison within a
+    # relative 1e-9 could be decided by rounding; they are counted and
+    # skipped, at most 1 % of them (the seeded set below has none: its
+    # closest comparison is 7.8e-7 apart).
+    compared = skipped = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        a, _x, y = sparse_instance(rng, 14, 8, 2 + seed % 3)
+        if seed % 3 == 0:  # 5 % noise
+            y = y + 0.05 * np.linalg.norm(y) / math.sqrt(8) * rng.standard_normal(8)
+        for rule in (TerminationRule.sparsity(4), TerminationRule.residual(k_max=5)):
+            for branch, budget in ((2, 5), (3, 15), (4, 40)):
+                want = mmp_df_reference(a, y, branch, rule.max_len(), rule.epsilon_rel,
+                                        budget)
+                if want["margin"] < 1e-9:
+                    skipped += 1
+                    continue
+                got = run_mmp_df(a, y, _df_config(rule, branch_factor=branch,
+                                                  max_paths=budget), trace=True)
+                assert (got.support, got.iterations, got.explored_nodes,
+                        got.paths_opened, got.terminated_by == RESIDUAL_MET,
+                        got.trace["projected"], got.trace["completed"]) == \
+                    (want["support"], want["iterations"], want["explored"], want["paths"],
+                     want["met"], want["projected"], want["completed"]), (seed, rule, branch)
+                compared += 1
+    assert compared + skipped == 1200 and skipped <= 12
+
+
 def test_mmp_df_asks_each_node_for_one_new_rank_per_visit(monkeypatch):
     # A depth-first node is visited at remaining branch sums 0, 1, 2, ...,
-    # so a visit asks for at most one rank past those resolved, the next
-    # one, unless every candidate there is taken. A ranking kept past one
-    # call of the child step would never be used again, so the walk makes
-    # as many rankings as one that kept every node's ranking: the counts
-    # below.
-    calls = {"ranked": 0, "new": 0, "skipping": 0}
-    rank_order, rank = pursuit._ranked, pursuit._Expansion.rank
+    # so a visit draws at most one new rank, the next one, from ranked. A
+    # ranking kept past one call of the child step would never be used
+    # again, so the walk makes as many rankings as one that kept every
+    # node's ranking: the counts below, with the walk's requests to ranked.
+    calls = {"ranked": 0, "new": 0}
+    rank_order, ranked = pursuit._ranked, pursuit._Expansion.ranked
 
     def counted_ranked(a, fact):
         calls["ranked"] += 1
         return rank_order(a, fact)
 
-    def watched_rank(self, ranks, fact, c):
-        if c >= len(ranks.cols):
-            calls["new"] += 1
-            calls["skipping"] += (c > len(ranks.cols)
-                                  and ranks.pulled < self.a.shape[1] - fact.k)
-        return rank(self, ranks, fact, c)
+    def walk_request(self, ranks, fact):
+        calls["new"] += 1
+        return ranked(self, ranks, fact)
+
+    def run_counted(a, y, config):
+        with monkeypatch.context() as m:
+            if config.algorithm == "mmp-df":  # only the walk draws from ranked itself
+                m.setattr(pursuit._Expansion, "ranked", walk_request)
+            run(a, y, config, trace=True)
 
     monkeypatch.setattr(pursuit, "_ranked", counted_ranked)
-    monkeypatch.setattr(pursuit._Expansion, "rank", watched_rank)
     for name, a, y, k in _fingerprint_cases():
         for config in _fingerprint_configs(k):
-            run(a, y, config, trace=True)
-    assert calls == {"ranked": 9493, "new": 1950, "skipping": 0}
+            run_counted(a, y, config)
+    assert calls == {"ranked": 9493, "new": 1950}
     calls.update(ranked=0, new=0)
     for seed in (0, 2):
         a, y = _rerank_case(seed)
         for config in _rerank_configs():
-            run_mmp_df(a, y, config, trace=True)
-    assert calls == {"ranked": 2724, "new": 6767, "skipping": 0}
+            run_counted(a, y, config)
+    assert calls == {"ranked": 2724, "new": 6767}
 
 
 def test_beam_and_best_first_make_no_uncounted_appends(monkeypatch):
