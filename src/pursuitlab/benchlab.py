@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from .linalg import as_count
 from .pursuit import (
     ADAPTIVE_ALPHA,
     ADAPTIVE_MULTIPLICATIVE,
@@ -145,7 +146,9 @@ def gen_problem(n, m, k, seed, normalize_columns=False, flat_amplitudes=False):
     normal (or unit-magnitude random signs with flat_amplitudes), and the
     whole instance is a pure function of the seed.
     """
-    if not n > m > k >= 1:
+    n, m, k = as_count(n, "n"), as_count(m, "m"), as_count(k, "k")
+    seed = as_count(seed, "seed", low=0)
+    if not n > m > k:
         raise ValueError(f"need n > m > k >= 1, got {n}, {m}, {k}")
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
@@ -159,7 +162,7 @@ def gen_problem(n, m, k, seed, normalize_columns=False, flat_amplitudes=False):
     x = np.zeros(n)
     x[support] = values
     return SparseProblem(dictionary=a, signal=x, observation=a @ x,
-                         sparsity=k, seed=int(seed))
+                         sparsity=k, seed=seed)
 
 
 def nmse_value(signal, estimate):
@@ -245,7 +248,8 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
     value except for the wall-time means. trial_log, when given, receives
     one JSON line per (trial, configuration) in that same order.
     """
-    k_values = [int(k) for k in k_values]
+    n, m = as_count(n, "n"), as_count(m, "m")
+    k_values = [as_count(k, f"k_values[{i}]") for i, k in enumerate(k_values)]
     configs = list(configs)
     if not k_values:
         raise ValueError("k_values is empty")
@@ -256,16 +260,12 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
     if len(set(k_values)) != len(k_values):
         raise ValueError("sparsity levels must be distinct")
     for k in k_values:
-        if not n > m > k >= 1:
+        if not n > m > k:
             raise ValueError(f"need n > m > k >= 1, got {n}, {m}, {k}")
-    if trials_per_k < 1:
-        raise ValueError("trials_per_k must be >= 1")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    trials_per_k, jobs = as_count(trials_per_k, "trials_per_k"), as_count(jobs, "jobs")
     if not 0.0 < exact_tol < math.inf:
         raise ValueError(f"exact_tol must be positive and finite, got {exact_tol}")
-    if global_seed < 0:
-        raise ValueError(f"global_seed must be >= 0, got {global_seed}")
+    global_seed = as_count(global_seed, "global_seed", low=0)
 
     batch = functools.partial(_trial_batch, n, m, global_seed, configs, exact_tol,
                               normalize_columns, flat_amplitudes)
@@ -303,7 +303,7 @@ def run_sweep(n, m, k_values, trials_per_k, configs, global_seed,
                                                    for t in trials])),
                 mean_wall_time_s=float(np.mean([t.wall_time_s
                                                 for t in trials]))))
-    return SweepReport(global_seed=int(global_seed), n=n, m=m,
+    return SweepReport(global_seed=global_seed, n=n, m=m,
                        k_values=tuple(k_values), trials_per_k=trials_per_k,
                        exact_tol=exact_tol,
                        configs=tuple(_config_dict(c) for c in configs),

@@ -18,7 +18,6 @@ from dataclasses import asdict
 import numpy as np
 
 from .benchlab import DEFAULT_EXACT_TOL, _sig12, emit_report, reference_configs, run_sweep
-from .linalg import DegenerateColumnError
 from .pursuit import (
     ADAPTIVE_ALPHA,
     ADAPTIVE_MULTIPLICATIVE,
@@ -349,8 +348,7 @@ def main(argv=None):
         return err.code if err.code is not None else 0
     try:
         return args.func(args)
-    except (DegenerateDictionaryError, DegenerateColumnError,
-            np.linalg.LinAlgError) as err:
+    except (DegenerateDictionaryError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:

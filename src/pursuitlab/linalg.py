@@ -1,4 +1,9 @@
-"""Dense column-selection linear algebra: incremental QR of a growing column subset."""
+"""Dense column-selection linear algebra: incremental QR of a growing column subset.
+
+The module is also the one home of the library's input checks: as_matrix
+and as_vector validate every array a search, a factorization or a RIC call
+takes, and as_count every count (a sparsity, a budget, a size, a seed).
+"""
 
 import math
 import operator
@@ -8,6 +13,7 @@ import numpy as np
 __all__ = [
     "DegenerateColumnError",
     "IncrementalFactorization",
+    "as_count",
     "as_matrix",
     "as_vector",
     "factor_init",
@@ -22,27 +28,43 @@ class DegenerateColumnError(ValueError):
     """Appending this column would add a numerically degenerate direction."""
 
 
+def _as_real(x, ndim, what, layout):
+    # The one body of as_matrix and as_vector: x as a finite float64 array of
+    # ndim nonempty axes, converted by layout.
+    if np.iscomplexobj(x):  # float64 would drop the imaginary part with only a warning
+        raise ValueError(f"{what} entries must be real, not complex")
+    arr = layout(x, dtype=np.float64)
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValueError(f"expected a {ndim}-d {what}, got shape {np.shape(x)}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} entries must be finite")
+    return arr
+
+
 def as_matrix(a):
     """Validate and return a as a finite float64 matrix in column-major layout."""
-    if np.iscomplexobj(a):  # float64 would drop the imaginary part with only a warning
-        raise ValueError("matrix entries must be real, not complex")
-    m = np.asfortranarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {np.shape(a)}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    return m
+    return _as_real(a, 2, "matrix", np.asfortranarray)
 
 
 def as_vector(y):
-    if np.iscomplexobj(y):
-        raise ValueError("vector entries must be real, not complex")
-    v = np.ascontiguousarray(y, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ValueError(f"expected a 1-d vector, got shape {np.shape(y)}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
-    return v
+    """Validate and return y as a finite contiguous float64 vector."""
+    return _as_real(y, 1, "vector", np.ascontiguousarray)
+
+
+def as_count(value, name, low=1):
+    """Validate and return value, named name in messages, as an int >= low.
+
+    A numpy integer passes and comes back as a Python int. A float, even a
+    whole one, and a string are refused: a fractional count would let a
+    budget or a length cap never be met exactly.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return count
 
 
 class IncrementalFactorization:
@@ -213,9 +235,6 @@ def factor_init(a, y, capacity=None):
     y = as_vector(y)
     if a.shape[0] != y.shape[0]:
         raise ValueError(f"row mismatch: matrix has {a.shape[0]} rows, vector has {y.shape[0]}")
-    if capacity is None:
-        capacity = min(a.shape)
-    if capacity < 1:
-        raise ValueError("capacity must be at least 1")
+    capacity = as_count(min(a.shape) if capacity is None else capacity, "capacity")
     return IncrementalFactorization(a.shape[0], capacity, y)
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .linalg import (
     DegenerateColumnError,
+    as_count,
     as_matrix,
     as_vector,
     factor_init,
@@ -68,17 +69,6 @@ class DegenerateDictionaryError(ValueError):
     """No usable column at the first level: every candidate is degenerate."""
 
 
-def _count(name, value):
-    # A count is an integer (a numpy integer too) of at least 1; a fractional
-    # one would let a budget or a length cap never be met exactly.
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-
-
 @dataclass(frozen=True)
 class TerminationRule:
     """When a single path stops growing and when it counts as a solution.
@@ -98,10 +88,10 @@ class TerminationRule:
         if self.kind not in (SPARSITY, RESIDUAL):
             raise ValueError(f"unknown termination kind {self.kind!r}")
         if self.kind == SPARSITY and self.k is not None:
-            _count("sparsity target k", self.k)
+            as_count(self.k, "sparsity target k")
         if not 0.0 < self.epsilon_rel < 1.0:
             raise ValueError("epsilon_rel must lie in (0, 1)")
-        _count("k_max", self.k_max)
+        as_count(self.k_max, "k_max")
 
     @classmethod
     def sparsity(cls, k):
@@ -205,7 +195,7 @@ class PursuitConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         for name in ("branch_factor", "beam_width", "init_paths",
                      "expand_branches", "max_paths"):
-            _count(name, getattr(self, name))
+            as_count(getattr(self, name), name)
 
     @property
     def tag(self):
@@ -239,9 +229,10 @@ def _setup(a, y, rule, trace):
         aa = float(np.einsum("ij,ij->j", a, a).max())
     if not (math.isfinite(yy) and math.isfinite(aa)):
         raise ValueError("dictionary or signal overflows float64; rescale the inputs")
-    # Subnormal squared norms keep few digits, so a tiny dictionary or signal
-    # is scaled by an exact power of two, 2**p or 2**q, which _search undoes.
-    p, q = _lift(aa), _lift(yy)
+    # Squared norms below the normal range keep few digits or underflow to
+    # zero, so a tiny dictionary or signal is scaled by an exact power of two,
+    # 2**p or 2**q, which _search undoes.
+    p, q = _lift(a, aa), _lift(y, yy)
     if p or q:
         a, y = np.ldexp(a, p), np.ldexp(y, q)
         yy = float(y @ y)
@@ -251,10 +242,11 @@ def _setup(a, y, rule, trace):
     return _Expansion(a, trace), factor_init(a, y, capacity=max_len), max_len, eps, p - q, q
 
 
-def _lift(sq):
-    # The exponent e that brings a squared norm in (0, tiny) to about 1 when
-    # its vector is scaled by 2**e; 0 for any other squared norm.
-    return -(math.frexp(sq)[1] // 2) if 0.0 < sq < _TINY else 0
+def _lift(v, sq):
+    # When sq, v's largest squared norm, is below tiny (zero included), the
+    # exponent e that brings v's largest entry into [0.5, 1) when v is scaled
+    # by 2**e; 0 for an all-zero v and for any other squared norm.
+    return -math.frexp(float(np.abs(v).max()))[1] if sq < _TINY else 0
 
 
 def _ranked(a, fact):
@@ -332,8 +324,12 @@ class _Expansion:
     def child(self, fact, col):
         """Child of fact by column col; _DUP for a seen support, None for a degenerate col.
 
-        A registered support was projected before, so col is independent of
-        the span and holds a branch rank; a degenerate column holds none.
+        A registered support holds a branch rank, checked before any
+        projection. That is the rule, not a claim that col is independent of
+        fact's span: degeneracy can depend on the append order, so a support
+        first projected through another parent may hold a rank here even
+        though appending col to fact would be refused. A degenerate column
+        of an unregistered support holds none.
         """
         mask = fact.mask | 1 << col
         if mask in self.trie:

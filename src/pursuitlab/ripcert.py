@@ -30,7 +30,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_count, as_matrix
 
 __all__ = [
     "DEFAULT_SUBSET_CAP",
@@ -95,14 +95,6 @@ class RicCertificate:
     extremal_subset: tuple
     matrix_digest: str
 
-    def __post_init__(self):
-        if self.subset_size < 1:
-            raise ValueError("subset_size must be >= 1")
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
-        if len(self.extremal_subset) != self.subset_size:
-            raise ValueError("extremal_subset size must equal subset_size")
-
 
 @dataclass(frozen=True)
 class BoundPair:
@@ -145,7 +137,8 @@ def compute_ric(a, s, subset_cap=DEFAULT_SUBSET_CAP):
     """
     a = as_matrix(a)
     n = a.shape[1]
-    if not 1 <= s <= n:
+    s, subset_cap = as_count(s, "s"), as_count(subset_cap, "subset_cap")
+    if s > n:
         raise ValueError(f"subset size {s} must lie in 1..{n}")
     total = comb(n, s)
     if total > subset_cap:
@@ -309,11 +302,11 @@ def _deviation_bound(e):
 def lemma1_bounds(k, l):
     """Both sufficient-recovery thresholds for sparsity k and branch width l.
 
-    Raises ValueError when k or l is below 1, when either does not fit in a
-    float64, or when the two thresholds are not strictly ordered in float64.
+    Raises ValueError when k or l is not an integer of at least 1, when
+    either does not fit in a float64, or when the two thresholds are not
+    strictly ordered in float64.
     """
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
+    k, l = as_count(k, "k"), as_count(l, "l")
     try:
         rk, rl = sqrt(k), sqrt(l)
     except OverflowError as err:

@@ -4,6 +4,7 @@ Everything here recomputes from scratch with numpy's dense solvers and no
 incremental state, so agreement with the package is a two-route check.
 """
 
+import bisect
 import itertools
 import math
 
@@ -92,6 +93,182 @@ def mmp_df_paths(a, y, branch, depth, eps_rel=1e-6):
     return out
 
 
+def _orth(a, support, v):
+    """v less its projection on the span of a's support columns, by a fresh dense QR."""
+    if not support:
+        return v
+    q = np.linalg.qr(a[:, support])[0]
+    return v - q @ (q.T @ v)
+
+
+def _gap(out, u, v):
+    # Lower out["margin"] to the relative gap of one comparison made.
+    out["margin"] = min(out["margin"], abs(u - v) / (max(abs(u), abs(v)) or 1.0))
+
+
+def _rank_gaps(out, corr, order):
+    # The gaps between neighbours in a ranked prefix. An exact tie counts too:
+    # two identical columns need not get identical correlations from a
+    # blocked matrix-vector product, so rounding may order them.
+    for i, j in zip(order, order[1:]):
+        _gap(out, corr[i], corr[j])
+
+
+def _is_independent(a, support, j):
+    # Column j adds a direction to the span of support: the degenerate test
+    # at 1e-12 of the column norm, which no margin counts.
+    return np.linalg.norm(_orth(a, support, a[:, j])) > 1e-12 * np.linalg.norm(a[:, j])
+
+
+def _children(a, y, support, width, seen, out):
+    """The new children of a node at branch ranks 0..width-1, as (support, residual norm).
+
+    A fresh ranking of the node's dense residual by a full stable sort, taken
+    in order: a support in seen holds a rank without a projection, a
+    degenerate column holds none, and any other support is projected, added
+    to seen and logged. Only the candidates taken and the next one count
+    toward the margin.
+    """
+    r = _orth(a, support, y)
+    corr = np.abs(a.T @ r)
+    order = ranked_reference(a, r, support)
+    kids, ranks, taken = [], 0, 0
+    for j in order:
+        if ranks == width:
+            break
+        taken += 1
+        child = support + [j]
+        if frozenset(child) in seen:
+            ranks += 1
+        elif _is_independent(a, support, j):
+            seen.add(frozenset(child))
+            out["projected"].append(tuple(sorted(child)))
+            kids.append((child, float(np.linalg.norm(_orth(a, child, y)))))
+            ranks += 1
+    _rank_gaps(out, corr, order[:taken + 1])
+    return kids
+
+
+def _mask(support):
+    return sum(1 << j for j in support)
+
+
+def _ordered(out, paths, decided=None):
+    """(support, residual norm) pairs by norm, exact ties to the smaller mask.
+
+    Only the order among the first decided paths (all by default) counts
+    toward the margin.
+    """
+    paths = sorted(paths, key=lambda p: (p[1], _mask(p[0])))
+    for (_s, u), (_t, v) in zip(paths, paths[1:decided]):
+        _gap(out, u, v)
+    return paths
+
+
+def _outcome(out, best, eps, reason, seen, iterations, paths):
+    support, norm = best
+    _gap(out, norm, eps)
+    out.update(support=tuple(support), iterations=iterations, explored=len(seen),
+               paths=paths, terminated="residual_met" if norm < eps else reason)
+    return out
+
+
+def mmp_bf_reference(a, y, branch, beam_cap, max_len, eps_rel):
+    """From-scratch breadth-first multipath pursuit with dedup.
+
+    Each level takes the first branch ranks of every beam path in beam
+    order through _children and keeps the beam_cap children of least dense
+    residual norm, exact ties to the smaller support mask. A level whose
+    children meet the residual target ends the search with the least of
+    them; a level with no children ends it with the beam. Returns the
+    outcome, the traced logs and the margin (see mmp_df_reference).
+    """
+    max_len = min(max_len, *a.shape)
+    eps = eps_rel * np.linalg.norm(y)
+    seen = set()
+    out = {"projected": [], "completed": [], "margin": math.inf}
+    beam, kids = [([], float(np.linalg.norm(y)))], []
+    iterations, opened = 0, 1
+    for _level in range(max_len):
+        kids = [kid for support, _n in beam
+                for kid in _children(a, y, support, branch, seen, out)]
+        if not kids:
+            break
+        iterations += 1
+        for _s, norm in kids:
+            _gap(out, norm, eps)
+        met = [kid for kid in kids if kid[1] < eps]
+        if met:
+            out["completed"] += [tuple(sorted(s)) for s, _n in met]
+            return _outcome(out, _ordered(out, met, 2)[0], eps, "residual_met", seen,
+                            iterations, opened)
+        kids = _ordered(out, kids)
+        beam = kids[:beam_cap]
+        opened = max(opened, len(beam))
+    done = kids or beam
+    out["completed"] += [tuple(sorted(s)) for s, _n in done]
+    return _outcome(out, done[0], eps, "sparsity_met" if kids else "path_budget_exhausted",
+                    seen, iterations, opened)
+
+
+def aomp_reference(a, y, init_paths, expand_branches, cap, alpha, adaptive, sparsity,
+                   max_len, eps_rel):
+    """From-scratch best-first pursuit with dedup and a capped open set.
+
+    The open set is a list kept sorted by bisect on (cost, support mask),
+    cut to cap entries after each insertion. A child's cost is its dense
+    residual norm times base ** (max_len - its length), base alpha, or under
+    the adaptive model min(1, alpha * norm / parent norm). The best support
+    seen anywhere is kept, exact ties to the longer path, and returned when
+    it beats the popped path that ends the search or when the open set runs
+    dry. Returns the outcome, the traced logs and the margin (see
+    mmp_df_reference).
+    """
+    max_len = min(max_len, *a.shape)
+    eps = eps_rel * np.linalg.norm(y)
+    seen = set()
+    out = {"projected": [], "completed": [], "margin": math.inf}
+    open_set = []    # (cost, mask, support, norm), ascending
+    best = ([], float(np.linalg.norm(y)))
+    iterations = opened = 0
+
+    def push(parent, parent_norm, width):
+        nonlocal best, opened
+        for child, norm in _children(a, y, parent, width, seen, out):
+            _gap(out, norm, best[1])
+            if norm < best[1] or (norm == best[1] and len(child) > len(best[0])):
+                best = (child, norm)
+            _gap(out, norm, eps)
+            if norm < eps or len(child) == max_len:
+                out["completed"].append(tuple(sorted(child)))
+            base = alpha
+            if adaptive and parent_norm > 0.0:
+                base = min(1.0, alpha * norm / parent_norm)
+            entry = (norm * base ** (max_len - len(child)), _mask(child), child, norm)
+            i = bisect.bisect_left(open_set, entry)
+            for other in open_set[max(0, i - 1):i + 1]:
+                _gap(out, entry[0], other[0])
+            open_set.insert(i, entry)
+            del open_set[cap:]
+        opened = max(opened, len(open_set))
+
+    push([], best[1], init_paths)
+    while open_set:
+        _cost, _m, support, norm = open_set.pop(0)
+        if norm < eps or (sparsity and len(support) == max_len):
+            if best[0] != support:
+                _gap(out, best[1], norm)
+            if best[1] < norm:
+                support, norm = best
+            return _outcome(out, (support, norm), eps, "sparsity_met", seen,
+                            iterations, opened)
+        if len(support) == max_len:
+            continue
+        iterations += 1
+        push(support, norm, expand_branches)
+    return _outcome(out, best, eps, "path_budget_exhausted", seen, iterations, opened)
+
+
 def mmp_df_reference(a, y, branch, max_len, eps_rel, max_paths):
     """From-scratch depth-first multipath pursuit with dedup and a path budget.
 
@@ -104,23 +281,15 @@ def mmp_df_reference(a, y, branch, max_len, eps_rel, max_paths):
     cap or the residual target, or stuck with no candidate, whose ranks sum
     to the total; ranks that leave more sum than the levels below can spend
     are not tried. Returns the outcome and margin, the least relative gap
-    of any comparison it made (ranking neighbours, residual against target,
-    residual against the best), below which rounding may decide; the
+    of any comparison it made (neighbours in the ranked prefix each node
+    took, plus the next candidate; residual against target; residual
+    against the best), below which rounding may decide; the
     degenerate-column test, at 1e-12 of the column norm, is not counted.
     """
     max_len = min(max_len, *a.shape)
     eps = eps_rel * np.linalg.norm(y)
     seen, nodes = set(), {}
     out = {"projected": [], "completed": [], "margin": math.inf}
-
-    def orth(support, v):  # v less its projection on the span of support
-        if not support:
-            return v
-        q = np.linalg.qr(a[:, support])[0]
-        return v - q @ (q.T @ v)
-
-    def gap(u, v):
-        out["margin"] = min(out["margin"], abs(u - v) / (max(abs(u), abs(v)) or 1.0))
 
     def rank(support, node, c):  # the column at rank c, None for a duplicate, -1 past the last
         while len(node["cols"]) <= c:
@@ -130,27 +299,24 @@ def mmp_df_reference(a, y, branch, max_len, eps_rel, max_paths):
             node["taken"] += 1
             if frozenset(support + [j]) in seen:
                 node["cols"].append(None)
-            elif np.linalg.norm(orth(support, a[:, j])) > 1e-12 * np.linalg.norm(a[:, j]):
+            elif _is_independent(a, support, j):
                 seen.add(frozenset(support + [j]))
                 out["projected"].append(tuple(sorted(support + [j])))
                 node["cols"].append(j)
         return node["cols"][c]
 
     def visit(support, left):
-        r = orth(support, y)
+        r = _orth(a, support, y)
         norm = np.linalg.norm(r)
-        gap(norm, eps)
+        _gap(out, norm, eps)
         if norm < eps or len(support) == max_len:
             if left == 0:
                 yield support, norm
             return
         key = frozenset(support)
         if key not in nodes:
-            order = ranked_reference(a, r, support)
-            corr = np.abs(a.T @ r)[order]
-            for u, v in zip(corr, corr[1:]):
-                gap(u, v)
-            nodes[key] = {"order": order, "taken": 0, "cols": []}
+            nodes[key] = {"order": ranked_reference(a, r, support), "corr": np.abs(a.T @ r),
+                          "taken": 0, "cols": []}
         headroom = (branch - 1) * (max_len - len(support) - 1)
         for c in range(max(0, left - headroom), min(branch - 1, left) + 1):
             col = rank(support, nodes[key], c)
@@ -170,11 +336,13 @@ def mmp_df_reference(a, y, branch, max_len, eps_rel, max_paths):
         paths += 1
         out["completed"].append(tuple(sorted(support)))
         if best is not None:
-            gap(norm, best[1])
+            _gap(out, norm, best[1])
         if best is None or norm < best[1]:
             best = (support, norm)
         if best[1] < eps or paths == max_paths:
             break
+    for node in nodes.values():
+        _rank_gaps(out, node["corr"], node["order"][:node["taken"] + 1])
     out.update(support=tuple(best[0]), iterations=len(nodes), explored=len(seen),
                paths=paths, met=bool(best[1] < eps))
     return out

@@ -474,7 +474,7 @@ def test_rip_rejects_bad_split_before_enumerating(tmp_path, capsys,
     _write_array(mat, np.random.default_rng(0).standard_normal((8, 18)))
     for l in ("0", "-1"):
         assert main(["rip", str(mat), "--s", "6", "--l", l]) == 1
-        assert "k and l must be >= 1" in capsys.readouterr().err
+        assert f"l must be >= 1, got {l}" in capsys.readouterr().err
     for s, l in (("3", "3"), ("6", "7")):
         assert main(["rip", str(mat), "--s", s, "--l", l]) == 1
         captured = capsys.readouterr()

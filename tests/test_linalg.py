@@ -1,12 +1,14 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from pursuitlab import PursuitConfig, TerminationRule, run
-from pursuitlab.linalg import DegenerateColumnError, as_vector, factor_init
+from pursuitlab import benchlab
+from pursuitlab.linalg import DegenerateColumnError, as_count, as_vector, factor_init
 from pursuitlab.pursuit import _by_rank, _ranked
-from pursuitlab.ripcert import compute_ric
+from pursuitlab.ripcert import BoundPair, RicCertificate, compute_ric, lemma1_bounds
 
 from _oracles import ranked_reference
 
@@ -402,7 +404,7 @@ def test_init_validates_inputs():
         factor_init(np.ones((2, 2)), np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match=r"expected a 1-d vector, got shape \(2, 2\)"):
         as_vector(np.ones((2, 2)))
-    with pytest.raises(ValueError, match="capacity must be at least 1"):
+    with pytest.raises(ValueError, match="capacity must be >= 1, got 0"):
         factor_init(np.ones((2, 2)), np.ones(2), capacity=0)
 
 
@@ -422,6 +424,78 @@ def test_complex_inputs_are_refused():
         compute_ric(a + 1j * a, 2)
     with pytest.raises(ValueError, match="vector entries must be real"):
         as_vector([1.0, 2j])
+
+
+def _sweep(**kw):
+    args = dict(n=24, m=12, k_values=[2], trials_per_k=1, global_seed=1, jobs=1)
+    args.update(kw)
+    omp = PursuitConfig("omp", TerminationRule.sparsity(None))
+    return benchlab.run_sweep(configs=[omp], **args)
+
+
+_RIC = np.random.default_rng(5).standard_normal((4, 6))
+
+# (name in the message, a valid value, the entry point given that count)
+_COUNTS = [
+    ("capacity", 2, lambda v: factor_init(np.eye(3), np.ones(3), capacity=v)),
+    ("n", 24, lambda v: benchlab.gen_problem(v, 12, 3, 5)),
+    ("m", 12, lambda v: benchlab.gen_problem(24, v, 3, 5)),
+    ("k", 3, lambda v: benchlab.gen_problem(24, 12, v, 5)),
+    ("seed", 5, lambda v: benchlab.gen_problem(24, 12, 3, v)),
+    ("n", 24, lambda v: _sweep(n=v)),
+    ("m", 12, lambda v: _sweep(m=v)),
+    ("k_values[1]", 3, lambda v: _sweep(k_values=[2, v])),
+    ("trials_per_k", 1, lambda v: _sweep(trials_per_k=v)),
+    ("jobs", 1, lambda v: _sweep(jobs=v)),
+    ("global_seed", 1, lambda v: _sweep(global_seed=v)),
+    ("s", 2, lambda v: compute_ric(_RIC, v)),
+    ("subset_cap", 15, lambda v: compute_ric(_RIC, 2, subset_cap=v)),
+    ("k", 3, lambda v: lemma1_bounds(v, 1)),
+    ("l", 1, lambda v: lemma1_bounds(3, v)),
+    ("sparsity target k", 2, TerminationRule.sparsity),
+    ("k_max", 2, lambda v: TerminationRule.residual(k_max=v)),
+] + [(name, 2, lambda v, name=name: PursuitConfig(
+        "mmp-bf", TerminationRule.sparsity(2), **{name: v}))
+     for name in ("branch_factor", "beam_width", "init_paths", "expand_branches",
+                  "max_paths")]
+
+
+@pytest.mark.parametrize("name, valid, call", _COUNTS,
+                         ids=[f"{i}-{name}" for i, (name, _v, _c) in enumerate(_COUNTS)])
+def test_every_entry_point_checks_its_counts_alike(monkeypatch, name, valid, call):
+    # Every count of every entry point goes through as_count: a fraction and
+    # a numeric string are refused by name before any work, and a numpy
+    # integer is taken as the Python int it equals.
+    trials = []
+    real = benchlab.run_trial
+    monkeypatch.setattr(benchlab, "run_trial",
+                        lambda *args: trials.append(args) or real(*args))
+    for bad in (2.5, str(valid)):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            call(bad)
+    assert not trials
+    out = call(np.int64(valid))
+    if isinstance(out, benchlab.SweepReport):
+        assert trials
+        assert all(type(v) is int for v in (out.n, out.m, out.trials_per_k, out.global_seed,
+                                            *out.k_values))
+    elif isinstance(out, benchlab.SparseProblem):
+        assert type(out.sparsity) is int and type(out.seed) is int
+    elif isinstance(out, BoundPair):
+        assert type(out.k) is int and type(out.l) is int
+    elif isinstance(out, RicCertificate):
+        assert type(out.subset_size) is int and len(out.extremal_subset) == 2
+
+
+def test_as_count_bounds_and_messages():
+    assert as_count(np.int64(3), "c") == 3 and type(as_count(np.int64(3), "c")) is int
+    assert as_count(0, "seed", low=0) == 0
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        as_count(-1, "seed", low=0)
+    with pytest.raises(ValueError, match=r"^c must be >= 1, got 0$"):
+        as_count(0, "c")
+    with pytest.raises(ValueError, match=r"^c must be an integer, got 3\.0$"):
+        as_count(3.0, "c")
 
 
 def replay(a, y, indices, capacity):

@@ -12,6 +12,7 @@ from pursuitlab import pursuit
 from pursuitlab.benchlab import derive_trial_seed, gen_problem, reference_configs
 from pursuitlab.linalg import DegenerateColumnError, IncrementalFactorization, factor_init
 from pursuitlab.pursuit import (
+    ADAPTIVE_ALPHA,
     ADAPTIVE_MULTIPLICATIVE,
     ALGORITHMS,
     MULTIPLICATIVE,
@@ -22,6 +23,7 @@ from pursuitlab.pursuit import (
     TerminationRule,
     PATH_BUDGET_EXHAUSTED,
     RESIDUAL_MET,
+    SPARSITY,
     SPARSITY_MET,
     run,
     run_aomp,
@@ -32,7 +34,9 @@ from pursuitlab.pursuit import (
 from pursuitlab.pursuit import _DUP, _path_cost, _Ranks, _setup
 
 from _oracles import (
+    aomp_reference,
     dense_omp,
+    mmp_bf_reference,
     mmp_df_reference,
     projection_residual,
     random_orthonormal,
@@ -749,15 +753,17 @@ def test_searches_stay_honest_on_hostile_dictionaries(name):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_tiny_inputs_search_as_their_power_of_two_multiples(algorithm):
     # Scaling by 2**-530 takes the squared norms below float64's normal
-    # range. The search scales such inputs back up by a power of two, which
-    # is exact, so it makes the decisions it makes on the original inputs
-    # and reports their residual norm and estimate, scaled exactly.
+    # range, and by 2**-560 to exactly zero, every square underflowing. The
+    # search scales such inputs back up by a power of two, which is exact,
+    # so it makes the decisions it makes on the original inputs and reports
+    # their residual norm and estimate, scaled exactly.
     prob = gen_problem(60, 30, 6, 3)
     a, y = prob.dictionary, prob.observation
     for rule in (TerminationRule.sparsity(6), TerminationRule.residual(1e-6, k_max=12)):
         config = PursuitConfig(algorithm, rule)
         ref = run(a, y, config, trace=True)
-        for ea, ey in ((-530, -530), (-530, 0), (0, -530)):
+        for ea, ey in ((-530, -530), (-530, 0), (0, -530),
+                       (-560, -560), (-560, 0), (0, -560)):
             res = run(np.ldexp(a, ea), np.ldexp(y, ey), config, trace=True)
             assert (res.support, res.iterations, res.explored_nodes, res.paths_opened,
                     res.terminated_by, res.trace) == \
@@ -988,25 +994,48 @@ def test_mmp_df_rerank_matches_the_kept_ranking(monkeypatch):
     assert reranks["past_degenerate"] > 0
 
 
+def _oracle_cases(plain):
+    """Seeded 8x14 instances for the reference searches.
+
+    plain Gaussian ones (k = 2-4, every third with 5 % noise), then 30 each
+    with an exact duplicate column, a zero column, and a column equal to the
+    sum of two others, the observation taken through the changed dictionary.
+    At most 1 % of the plain runs may be skipped, and at most half of the
+    others: there rounding decides often, as supports of one span tie in
+    exact arithmetic, and a matrix-vector product need not give two
+    identical columns the identical correlation that would send the tie to
+    the lower index.
+    """
+    for seed in range(plain + 90):
+        rng = np.random.default_rng(seed)
+        a, x, y = sparse_instance(rng, 14, 8, 2 + seed % 3)
+        if seed >= plain:
+            i, j, c = rng.choice(14, 3, replace=False)
+            kind = (seed - plain) // 30
+            a[:, c] = a[:, i] if kind == 0 else 0.0 if kind == 1 else a[:, i] + a[:, j]
+            y = a @ x
+        if seed % 3 == 0:  # 5 % noise
+            y = y + 0.05 * np.linalg.norm(y) / math.sqrt(8) * rng.standard_normal(8)
+        yield seed, a, y
+
+
+_ORACLE_RULES = (TerminationRule.sparsity(4), TerminationRule.residual(k_max=5))
+
+
 def test_mmp_df_matches_an_independent_reference():
     # The walk against a from-scratch depth-first search that shares none of
     # its code: dense QR residuals, full stable sorts, a set registry and a
     # kept order per node. Runs whose reference made a comparison within a
     # relative 1e-9 could be decided by rounding; they are counted and
-    # skipped, at most 1 % of them (the seeded set below has none: its
-    # closest comparison is 7.8e-7 apart).
-    compared = skipped = 0
-    for seed in range(200):
-        rng = np.random.default_rng(seed)
-        a, _x, y = sparse_instance(rng, 14, 8, 2 + seed % 3)
-        if seed % 3 == 0:  # 5 % noise
-            y = y + 0.05 * np.linalg.norm(y) / math.sqrt(8) * rng.standard_normal(8)
-        for rule in (TerminationRule.sparsity(4), TerminationRule.residual(k_max=5)):
+    # skipped (see _oracle_cases for the bounds).
+    compared, skipped = 0, [0, 0]
+    for seed, a, y in _oracle_cases(200):
+        for rule in _ORACLE_RULES:
             for branch, budget in ((2, 5), (3, 15), (4, 40)):
                 want = mmp_df_reference(a, y, branch, rule.max_len(), rule.epsilon_rel,
                                         budget)
                 if want["margin"] < 1e-9:
-                    skipped += 1
+                    skipped[seed >= 200] += 1
                     continue
                 got = run_mmp_df(a, y, _df_config(rule, branch_factor=branch,
                                                   max_paths=budget), trace=True)
@@ -1016,7 +1045,46 @@ def test_mmp_df_matches_an_independent_reference():
                     (want["support"], want["iterations"], want["explored"], want["paths"],
                      want["met"], want["projected"], want["completed"]), (seed, rule, branch)
                 compared += 1
-    assert compared + skipped == 1200 and skipped <= 12
+    assert compared + sum(skipped) == 1740 and skipped[0] <= 12 and skipped[1] <= 270, skipped
+
+
+def test_beam_and_best_first_match_independent_references():
+    # mmp-bf (3 branches, beam 2), aomp (cap 7) and adaptive aomp (cap 5)
+    # against from-scratch searches that share none of their code: dense QR
+    # residuals, full stable sorts, a set registry checked before each
+    # projection, and for the best-first search a bisect open set with its
+    # cap and the best-support swap. Runs whose reference made a residual,
+    # cost or ranking comparison within a relative 1e-9 are counted and
+    # skipped (see _oracle_cases for the bounds).
+    configs = [PursuitConfig("mmp-bf", rule, branch_factor=3, beam_width=2)
+               for rule in _ORACLE_RULES]
+    configs += [PursuitConfig("aomp", rule, max_paths=7) for rule in _ORACLE_RULES]
+    configs += [PursuitConfig("aomp", rule, max_paths=5,
+                              cost_model=CostModel(ADAPTIVE_MULTIPLICATIVE, ADAPTIVE_ALPHA))
+                for rule in _ORACLE_RULES]
+    compared, skipped = 0, [0, 0]
+    for seed, a, y in _oracle_cases(300):
+        for config in configs:
+            rule = config.termination
+            if config.algorithm == "mmp-bf":
+                want = mmp_bf_reference(a, y, config.branch_factor, config.beam_width,
+                                        rule.max_len(), rule.epsilon_rel)
+            else:
+                model = config.cost_model
+                want = aomp_reference(a, y, config.init_paths, config.expand_branches,
+                                      config.max_paths, model.alpha,
+                                      model.kind == ADAPTIVE_MULTIPLICATIVE,
+                                      rule.kind == SPARSITY, rule.max_len(), rule.epsilon_rel)
+            if want["margin"] < 1e-9:
+                skipped[seed >= 300] += 1
+                continue
+            got = run(a, y, config, trace=True)
+            assert (got.support, got.iterations, got.explored_nodes, got.paths_opened,
+                    got.terminated_by, got.trace["projected"], got.trace["completed"]) == \
+                (want["support"], want["iterations"], want["explored"], want["paths"],
+                 want["terminated"], want["projected"], want["completed"]), (seed, config)
+            compared += 1
+    assert compared + sum(skipped) == 2340 and skipped[0] <= 18 and skipped[1] <= 270, skipped
 
 
 def test_mmp_df_asks_each_node_for_one_new_rank_per_visit(monkeypatch):
@@ -1239,3 +1307,18 @@ def test_exact_ties_go_to_the_smaller_mask():
                            expand_branches=3, max_paths=4, cost_model=CostModel(alpha=0.5))
     bestfirst = run_aomp(a, y, config, trace=True)
     assert bestfirst.trace["projected"][-4:] == [(2, 5, 6), (2, 4, 6), (5, 6, 9), (4, 6, 9)]
+
+
+def test_best_support_ties_go_to_the_longer_path():
+    # After column 0 the residual (0, 0, 1) is orthogonal to column 1, so
+    # the child {0, 1} ties its parent's residual norm exactly. Capped at
+    # two columns under the residual rule, the single lineage dead-ends and
+    # the search falls back to the best support seen, which on the tie is
+    # the longer path: the full greedy support, as OMP returns it.
+    a = np.eye(3)[:, :2]
+    y = np.array([1.0, 0.0, 1.0])
+    rule = TerminationRule.residual(k_max=2)
+    res = run_aomp(a, y, PursuitConfig("aomp", rule, init_paths=1, expand_branches=1))
+    assert res.residual_norm == 1.0
+    assert (res.support, res.terminated_by) == ((0, 1), PATH_BUDGET_EXHAUSTED)
+    assert run_omp(a, y, rule).support == res.support

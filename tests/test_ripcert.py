@@ -11,7 +11,6 @@ from pursuitlab.pursuit import PursuitConfig, TerminationRule, run_mmp_df
 from pursuitlab.ripcert import (
     BoundPair,
     EnumerationCapError,
-    RicCertificate,
     compute_ric,
     lemma1_bounds,
     matrix_digest,
@@ -318,12 +317,6 @@ def test_ric_validations():
         compute_ric(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1)
     with pytest.raises(ValueError, match="overflows"):
         compute_ric(np.array([[1e200, 0.0], [0.0, 1.0]]), 1)  # Gram entry inf
-    with pytest.raises(ValueError):
-        RicCertificate(2, 0.5, (1,), "d")  # subset size mismatch
-    with pytest.raises(ValueError, match="subset_size must be >= 1"):
-        RicCertificate(0, 0.0, (), "d")
-    with pytest.raises(ValueError):
-        RicCertificate(1, -0.1, (0,), "d")
 
 
 def test_matrix_digest_distinguishes():
